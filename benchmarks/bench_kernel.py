@@ -91,7 +91,7 @@ def test_cca_probe_brute_force(benchmark):
 
 
 def test_medium_fanout_with_culling(benchmark):
-    """Fan-out over a mostly-inaudible population: the LinkGainCache culls
+    """Fan-out over a mostly-inaudible population: the link cache culls
     270 of 300 receivers, so cost tracks the 30 audible ones."""
     sim = Simulator()
     rng = RngStreams(1)

@@ -337,11 +337,11 @@ def _cmd_perf_bench(args) -> int:
             )
             return 1
         print("benchmarks within tolerance of baseline")
-        if not args.out:
-            return 0
-    out_path = args.out or "BENCH_kernel.json"
-    write_baseline(doc, out_path)
-    print(f"wrote {out_path}")
+    # Only an explicit --out writes: a subset (--only) or comparison run
+    # must never overwrite the committed baseline behind the user's back.
+    if args.out:
+        write_baseline(doc, args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -354,7 +354,6 @@ def _cmd_check_diff(args) -> int:
             seed=args.seed,
             fast=args.fast,
             invariants=not args.no_invariants,
-            band_sharding=args.band_sharding,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -579,16 +578,17 @@ def main(argv=None) -> int:
     p_profile.set_defaults(func=_cmd_perf_profile)
 
     p_bench = perf_sub.add_parser(
-        "bench", help="kernel micro-benchmarks (writes BENCH_kernel.json)"
+        "bench", help="kernel micro-benchmarks (writes JSON only with --out)"
     )
     p_bench.add_argument("--quick", action="store_true",
                          help="smaller iteration counts (CI profile)")
     p_bench.add_argument("--out", default=None,
-                         help="output JSON path (default BENCH_kernel.json)")
+                         help="write the results to this JSON path (e.g. "
+                              "--out BENCH_kernel.json to regenerate the "
+                              "baseline); nothing is written without it")
     p_bench.add_argument("--check", default=None,
-                         help="compare against a committed baseline JSON "
-                              "instead of writing; non-zero exit on "
-                              "regression")
+                         help="compare against a committed baseline JSON; "
+                              "non-zero exit on regression")
     p_bench.add_argument("--tolerance", type=float, default=0.25,
                          help="allowed fractional wall-time regression "
                               "(default 0.25)")
@@ -616,10 +616,6 @@ def main(argv=None) -> int:
     k_diff.add_argument("--no-invariants", action="store_true",
                         help="skip runtime invariant checking during the "
                              "two runs")
-    k_diff.add_argument("--band-sharding", action="store_true",
-                        help="enable band-sharded fan-out on the fast leg "
-                             "(gates the sharded configuration against "
-                             "the scalar reference)")
     k_diff.set_defaults(func=_cmd_check_diff)
 
     k_det = check_sub.add_parser(

@@ -1,8 +1,8 @@
 """repro.check — runtime invariants, differential oracle, determinism.
 
-PR-2 doubled the kernel's surface area: every hot path (link-gain
-culling, incremental power accumulators, per-link fading streams) now
-shadows a retained brute-force reference.  This package is the
+Every kernel hot path (link-gain culling, batched fan-out, incremental
+power accumulators, per-link fading streams) shadows a retained
+brute-force reference.  This package is the
 correctness layer that continuously cross-checks them:
 
 - :mod:`repro.check.invariants` — opt-in runtime invariants
@@ -13,8 +13,9 @@ correctness layer that continuously cross-checks them:
   first-divergence report.
 - :mod:`repro.check.oracle` — the differential oracle
   (``python -m repro check diff <exhibit>``): runs an exhibit on the
-  fast path and on the reference path (``Medium(link_cache=False)`` +
-  brute-force accumulators) and diffs the traces event by event.
+  fast path and on the reference path (``Medium(reference=True)``:
+  brute-force fan-out and accumulators) and diffs the traces event by
+  event.
 - :mod:`repro.check.determinism` — the determinism checker
   (``python -m repro check determinism <exhibit>``): same seed twice,
   and ``--jobs 1`` vs ``--jobs N`` through the campaign engine, must
@@ -22,7 +23,7 @@ correctness layer that continuously cross-checks them:
 - :mod:`repro.check.faults` — test-only fault injection used to prove
   the invariant layer actually catches corruption.
 
-Import note: model layers (``repro.net.deployment``, ``repro.phy``)
+Import note: the kernel constructors (``Simulator``, ``Medium``)
 consult :mod:`repro.check.runtime` on construction, so this package
 ``__init__`` must stay import-light.  The heavyweight modules (oracle,
 determinism — which pull in the experiment registry) are exposed

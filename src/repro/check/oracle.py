@@ -1,22 +1,23 @@
 """Differential oracle: fast path vs brute-force reference path.
 
-PR-2's optimisations (link-gain culling, incremental accumulators,
-batched fan-out events) all claim *exactness*: a fixed seed must
-produce the same behaviour with or without them.  The oracle turns
-that claim into a machine check.  ``diff_exhibit`` runs one exhibit
-twice —
+The medium's fast path (culled, cached audible sets, batched fading draws,
+precomputed per-receiver gains, incremental power accumulators) claims
+*exactness*: a fixed seed must produce the same behaviour as the plain
+algorithm.  The oracle turns that claim into a machine check.
+``diff_exhibit`` runs one exhibit twice —
 
-1. the **fast path** (default ``Medium`` with the
-   :class:`~repro.phy.medium.LinkGainCache` and incremental power
-   accumulators), and
-2. the **reference path** (``Medium(link_cache=False)`` brute-force
-   fan-out plus per-probe mask re-evaluation in the radio power sums)
+1. the **fast path** (default ``Medium``), and
+2. the **reference path** (``Medium(reference=True)``: brute-force
+   fan-out over every radio plus per-probe mask re-evaluation in the
+   radio power sums)
 
 — with tracing enabled and runtime invariants armed on both, then
 compares the two runs trace record by trace record and the produced
-:class:`~repro.experiments.results.ResultTable` JSON byte by byte.
-The report names the *first divergence*: which deployment, which
-record index, what each path saw, plus the records leading up to it.
+:class:`~repro.experiments.results.ResultTable` JSON byte by byte.  Every
+simulator the exhibit builds joins the session, whether it comes from a
+:class:`~repro.net.deployment.Deployment` or is built directly.  The
+report names the *first divergence*: which world, which record index,
+what each path saw, plus the records leading up to it.
 
 Used by ``python -m repro check diff <exhibit>`` and the CI ``check``
 job.
@@ -48,7 +49,7 @@ class TraceDivergence:
 
     def describe(self) -> str:
         lines = [
-            f"first divergence: deployment #{self.deployment_index}, "
+            f"first divergence: world #{self.deployment_index}, "
             f"trace record #{self.record_index}",
         ]
         for record in self.context:
@@ -82,7 +83,7 @@ class DiffReport:
         profile = "fast" if self.fast_profile else "paper"
         head = (
             f"check diff {self.exhibit_id} (seed {self.seed}, "
-            f"profile {profile}): {self.deployments} deployment(s), "
+            f"profile {profile}): {self.deployments} world(s), "
             f"{self.records_compared} trace records compared"
         )
         lines = [head]
@@ -111,22 +112,18 @@ def run_traced(
     *,
     reference: bool = False,
     checker: Optional[InvariantChecker] = None,
-    band_sharding: bool = False,
 ) -> Tuple[Any, List[Any]]:
     """Run one registered exhibit inside an instrumented session.
 
-    Returns ``(table, traces)`` where ``traces`` are the per-deployment
+    Returns ``(table, traces)`` where ``traces`` are the per-simulator
     :class:`~repro.sim.trace.Trace` objects in construction order.
-    ``band_sharding`` is ignored on reference runs (the reference leg is
-    always the plain scalar path).
     """
     from ..experiments.registry import get
     from ..phy.frame import reset_frame_ids
 
     experiment = get(exhibit_id)
     session = CheckSession(
-        reference=reference, capture_traces=True, checker=checker,
-        band_sharding=band_sharding,
+        reference=reference, capture_traces=True, checker=checker
     )
     # Frame ids come from a process-global counter and exist only to
     # correlate trace records; restart it so both oracle legs allocate
@@ -183,22 +180,19 @@ def diff_exhibit(
     *,
     invariants: bool = True,
     check_config: Optional[CheckConfig] = None,
-    band_sharding: bool = False,
 ) -> DiffReport:
     """Run the differential oracle on one exhibit.
 
     Raises :class:`~repro.check.invariants.InvariantViolation` if either
     run breaks a runtime invariant (when ``invariants`` is on); returns
     a :class:`DiffReport` whose ``ok`` reflects trace and table
-    equality.  ``band_sharding`` applies to the fast leg only, so the
-    sharded configuration is gated against the scalar reference.
+    equality.
     """
     fast_checker = InvariantChecker(check_config) if invariants else None
     ref_checker = InvariantChecker(check_config) if invariants else None
 
     fast_table, fast_traces = run_traced(
-        exhibit_id, seed, fast, reference=False, checker=fast_checker,
-        band_sharding=band_sharding,
+        exhibit_id, seed, fast, reference=False, checker=fast_checker
     )
     ref_table, ref_traces = run_traced(
         exhibit_id, seed, fast, reference=True, checker=ref_checker
@@ -231,6 +225,6 @@ def diff_exhibit(
     report.tables_match = fast_table.to_json() == ref_table.to_json()
     if report.deployments == 0:
         report.notes.append(
-            "note: exhibit built no Deployment — only table JSON compared"
+            "note: exhibit built no simulator — only table JSON compared"
         )
     return report

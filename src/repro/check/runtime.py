@@ -3,18 +3,19 @@
 The differential oracle needs to re-run an *unmodified* exhibit under
 instrumentation: traces captured, the medium forced onto its brute-force
 reference path, runtime invariants armed.  Exhibit ``run()`` callables
-construct their :class:`~repro.net.deployment.Deployment` objects
-internally, so the instrumentation cannot be threaded through arguments
-without touching every figure module.  Instead a :class:`CheckSession`
-is installed as an ambient context; ``Deployment.__init__`` consults
-:func:`active_session` and, when one is active,
+build their simulated worlds internally — through
+:class:`~repro.net.deployment.Deployment` or directly, like the 802.11b
+two-link rig — so the instrumentation cannot be threaded through arguments
+without touching every figure module.  Instead a :class:`CheckSession` is
+installed as an ambient context, and the two kernel constructors consult
+:func:`active_session`:
 
-- attaches an enabled :class:`~repro.sim.trace.Trace` (when the caller
-  did not supply one) and registers it on the session,
-- forces ``Medium(link_cache=False, reference_accumulators=True)``
-  when the session runs the reference path, and
-- arms the session's :class:`~repro.check.invariants.InvariantChecker`
-  on the simulator.
+- :class:`~repro.sim.simulator.Simulator` attaches an enabled
+  :class:`~repro.sim.trace.Trace` (when the caller did not supply one),
+  registers it on the session and arms the session's
+  :class:`~repro.check.invariants.InvariantChecker`;
+- :class:`~repro.phy.medium.Medium` takes the session's ``reference``
+  flag, so a reference session runs every world on the reference path.
 
 Sessions do not nest and are process-local (the campaign executor's
 worker processes never inherit one), so a plain module global is
@@ -36,22 +37,17 @@ class CheckSession:
     Parameters
     ----------
     reference:
-        When ``True`` deployments built inside the session use the
-        brute-force reference path (``Medium(link_cache=False)`` plus
-        per-probe mask re-evaluation in the radio power sums) instead
-        of the PR-2 fast path.
+        When ``True`` every medium built inside the session runs the
+        reference path (``Medium(reference=True)``: brute-force fan-out
+        plus per-probe mask re-evaluation in the radio power sums)
+        instead of the fast path.
     capture_traces:
-        Attach an enabled trace to every deployment built inside the
+        Attach an enabled trace to every simulator built inside the
         session and collect them (in construction order) on
         :attr:`traces`.
     checker:
         Optional :class:`~repro.check.invariants.InvariantChecker`
         armed on every simulator built inside the session.
-    band_sharding:
-        When ``True`` (and the session is not a reference session)
-        deployments built inside it enable the medium's band-sharded
-        fan-out, so ``check diff`` can gate the sharded configuration
-        against the scalar reference leg.
     """
 
     def __init__(
@@ -59,19 +55,17 @@ class CheckSession:
         reference: bool = False,
         capture_traces: bool = True,
         checker: Any = None,
-        band_sharding: bool = False,
     ) -> None:
         self.reference = bool(reference)
         self.capture_traces = bool(capture_traces)
         self.checker = checker
-        self.band_sharding = bool(band_sharding)
-        #: Traces of the deployments created inside the session, in
+        #: Traces of the simulators created inside the session, in
         #: construction order (one exhibit may build several rigs).
         self.traces: List[Any] = []
 
     # ------------------------------------------------------------------
     def attach_trace(self, trace: Any) -> None:
-        """Record one deployment's trace (called by ``Deployment``)."""
+        """Record one simulator's trace (called by ``Simulator``)."""
         self.traces.append(trace)
 
     # ------------------------------------------------------------------

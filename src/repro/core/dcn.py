@@ -64,20 +64,15 @@ class DcnCcaPolicy(CcaPolicy):
         # check fires at ``now + T_I + T_U``.
         self._adjustor = CcaAdjustor(mac.sim, self.config, owner=mac.name)
         sim = mac.sim
-        # All DCN timers are node-local, hence band-local: ride the
-        # radio's event shard to keep their churn off the main heap.
-        shard = mac.radio.event_shard
         if self.config.t_init_s > 0:
             self._schedule_sense_sample()
             self._init_event = sim.schedule(
-                self.config.t_init_s, self._finish_init, tag="dcn.init_done",
-                shard=shard,
+                self.config.t_init_s, self._finish_init, tag="dcn.init_done"
             )
         else:
             self._adjustor.finish_initialization()
         self._periodic_event = sim.schedule(
-            self._first_case2_delay(), self._periodic, tag="dcn.case2",
-            shard=shard,
+            self._first_case2_delay(), self._periodic, tag="dcn.case2"
         )
 
     def detach(self) -> None:
@@ -143,13 +138,11 @@ class DcnCcaPolicy(CcaPolicy):
                     self._adjustor.observe_sense(self._mac.radio.sense_power_dbm())
                     self._mac.radio.energy.note_sense_sample()
                 self._sense_event = sim.schedule(
-                    self.config.sense_interval_s, _sample, tag="dcn.sense",
-                    shard=shard,
+                    self.config.sense_interval_s, _sample, tag="dcn.sense"
                 )
 
-        shard = self._mac.radio.event_shard
         self._sense_event = sim.schedule(
-            self.config.sense_interval_s, _sample, tag="dcn.sense", shard=shard
+            self.config.sense_interval_s, _sample, tag="dcn.sense"
         )
 
     def _finish_init(self) -> None:
@@ -165,6 +158,5 @@ class DcnCcaPolicy(CcaPolicy):
             return
         self._adjustor.periodic_update()
         self._periodic_event = self._mac.sim.schedule(
-            self.config.t_update_s, self._periodic, tag="dcn.case2",
-            shard=self._mac.radio.event_shard,
+            self.config.t_update_s, self._periodic, tag="dcn.case2"
         )

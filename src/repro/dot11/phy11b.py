@@ -10,7 +10,8 @@ The paper's Fig. 2 (after Mishra et al.) contrasts two receiver behaviours:
   centre frequency, so neighbouring-channel energy is just noise.
 
 :class:`Dot11Radio` implements the first behaviour by overriding the lock
-rule of :class:`~repro.phy.radio.Radio`: a signal is lockable when its
+step of :class:`~repro.phy.radio.Radio` (``_lockable`` and ``_maybe_lock``;
+the signal bookkeeping is inherited): a signal is lockable when its
 *post-mask* in-band power clears the sensitivity, whatever its channel; but
 decoding only succeeds for co-channel signals.
 
@@ -110,16 +111,16 @@ class Dot11Radio(Radio):
         super().__init__(*args, **kwargs)
         self.false_locks = 0
 
-    def on_signal_start(self, signal: Signal) -> None:
-        if self.current_reception is not None:
-            # Close the elapsed segment under the old interference set.
-            self.current_reception.on_interference_change()
-            self._add_signal(signal)
-            return
-        self._add_signal(signal)
+    def _lockable(self, channel_mhz: float) -> bool:
+        # The 802.11 receiver locks regardless of the signal's channel —
+        # this is precisely what makes overlapped-channel concurrency
+        # infeasible in 802.11 and feasible in 802.15.4.
+        return True
+
+    def _maybe_lock(self, signal: Signal) -> None:
         if self.state is not RadioState.IDLE:
             return
-        # Post-mask in-band power was cached by _add_signal.
+        # Post-mask in-band power was cached by start_signal.
         in_band_dbm = mw_to_dbm(signal.decode_mw)
         if in_band_dbm < self.config.sensitivity_dbm:
             return
@@ -128,9 +129,6 @@ class Dot11Radio(Radio):
                 "preamble_missed", radio=self.name, frame=signal.frame.frame_id
             )
             return
-        # The 802.11 receiver locks regardless of the signal's channel —
-        # this is precisely what makes overlapped-channel concurrency
-        # infeasible in 802.11 and feasible in 802.15.4.
         if not self._is_co_channel(signal):
             self.false_locks += 1
             self.sim.trace.emit(

@@ -147,8 +147,8 @@ def wideband_plan(cfd_mhz: float = 3.0, width_mhz: float = 18.0) -> ChannelPlan:
 
 def scene_plan() -> ChannelPlan:
     """The scale-scene channel plan: the full 2.4 GHz band at 5 MHz
-    spacing (16 channels, 2405-2480 MHz) — wide enough that band
-    sharding has genuinely non-interacting frequency groups."""
+    spacing (16 channels, 2405-2480 MHz) — wide enough that far-apart
+    channels barely interact through the spectral mask."""
     return ChannelPlan.inclusive(Band(2405.0, 2480.0), 5.0)
 
 
@@ -157,9 +157,6 @@ def large_scene(
     seed: int = 1,
     active_links_per_network: int = 1,
     area_m2_per_mote: float = 20.0,
-    vectorized: Optional[bool] = None,
-    band_sharding: bool = False,
-    sharded_scheduler: Optional[bool] = None,
 ) -> Deployment:
     """A synthetic dense deployment for benchmarking and profiling.
 
@@ -178,13 +175,7 @@ def large_scene(
         active_links_per_network=active_links_per_network,
         area_m2_per_mote=area_m2_per_mote,
     )
-    return Deployment(
-        specs,
-        seed=seed,
-        vectorized=vectorized,
-        band_sharding=band_sharding,
-        sharded_scheduler=sharded_scheduler,
-    )
+    return Deployment(specs, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,7 @@ class CsmaTransaction:
 
     # ------------------------------------------------------------------
     def _schedule(self, delay: float, callback) -> None:
-        # Backoff/CCA timers are band-local: route them to the radio's
-        # band shard so their churn stays out of the main event heap.
-        self._pending = self.sim.schedule(
-            delay, callback, tag="csma", shard=self.radio.event_shard
-        )
+        self._pending = self.sim.schedule(delay, callback, tag="csma")
 
     def _backoff(self) -> None:
         slots = int(self.rng.integers(0, 2**self._be))

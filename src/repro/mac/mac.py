@@ -137,7 +137,6 @@ class Mac:
             self.params.ack_wait_s,
             lambda: self._on_ack_timeout(frame),
             tag=f"{self.name}.ack_wait",
-            shard=self.radio.event_shard,
         )
         self._pending_ack = (frame, timer)
 
@@ -200,8 +199,7 @@ class Mac:
             self.radio.transmit(ack, lambda _tx: None)
 
         self.sim.schedule(
-            self.params.turnaround_s, _transmit_ack, tag=f"{self.name}.ack",
-            shard=self.radio.event_shard,
+            self.params.turnaround_s, _transmit_ack, tag=f"{self.name}.ack"
         )
 
     # ------------------------------------------------------------------

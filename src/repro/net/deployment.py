@@ -83,28 +83,6 @@ class Deployment:
     saturate_senders:
         When True (default) every link sender gets a
         :class:`~repro.net.traffic.SaturatedSource` started at t = 0.
-    link_cache:
-        Fan-out strategy for the medium: ``True`` uses the audible-set
-        cache, ``False`` the brute-force reference scan.  ``None`` (the
-        default) means "cache, unless an active
-        :class:`~repro.check.runtime.CheckSession` asks for the
-        reference path".
-    vectorized:
-        Struct-of-arrays batched fan-out (see
-        :class:`~repro.phy.vectorized.VectorizedLinkCache`).  ``None``
-        (the default) enables it whenever the link cache is active;
-        ``False`` forces the scalar cache.
-    band_sharding:
-        Opt-in cross-band fan-out culling for large multi-band scenes
-        (approximate; see ``Medium``).  Default off.  An active
-        non-reference :class:`~repro.check.runtime.CheckSession` with
-        ``band_sharding=True`` turns it on (so ``check diff`` can gate
-        the sharded configuration).
-    sharded_scheduler:
-        Band-partitioned event scheduling + batched accumulator updates
-        (bit-exact; see ``Medium``).  ``None`` (the default) follows the
-        medium's own default — on whenever the vectorized cache is
-        active, hence automatically *off* on the reference leg.
     obs:
         Optional :class:`~repro.obs.recorder.Observability` telemetry
         recorder handed to the simulator.  ``None`` (the default) means
@@ -115,18 +93,10 @@ class Deployment:
     -------------------------
     Exhibits construct their deployments internally, so the differential
     oracle (``python -m repro check diff``) cannot thread configuration
-    through arguments.  Instead, when a :class:`repro.check.runtime.
-    CheckSession` is active, every deployment built inside it
-
-    - attaches a :class:`~repro.sim.trace.Trace` (when the session
-      captures traces) and registers it with the session,
-    - switches the medium to the reference path
-      (``link_cache=False, reference_accumulators=True``) when the
-      session is a *reference* session, and
-    - installs the session's :class:`~repro.check.invariants.
-      InvariantChecker` on the simulator.
-
-    Explicit constructor arguments always win over the ambient session.
+    through arguments.  The :class:`~repro.sim.simulator.Simulator` and the
+    :class:`~repro.phy.medium.Medium` a deployment builds consult the
+    active :class:`repro.check.runtime.CheckSession` themselves (trace
+    capture, checker, reference path), as they do in any other world.
     """
 
     def __init__(
@@ -142,13 +112,8 @@ class Deployment:
         saturate_senders: bool = True,
         radio_config: Optional[RadioConfig] = None,
         trace: Optional[Trace] = None,
-        link_cache: Optional[bool] = None,
-        vectorized: Optional[bool] = None,
-        band_sharding: bool = False,
-        sharded_scheduler: Optional[bool] = None,
         obs=None,
     ) -> None:
-        from ..check.runtime import active_session
         from ..obs.runtime import active_obs_session
         from ..phy.medium import Medium  # local import to avoid cycles
 
@@ -156,28 +121,7 @@ class Deployment:
             obs_session = active_obs_session()
             if obs_session is not None:
                 obs = obs_session.make_observability()
-        session = active_session()
-        checks = None
-        reference_accumulators = False
-        if session is not None:
-            if trace is None and session.capture_traces:
-                trace = Trace(enabled=True)
-            if session.capture_traces and trace is not None:
-                session.attach_trace(trace)
-            if link_cache is None:
-                link_cache = not session.reference
-            reference_accumulators = session.reference
-            checks = session.checker
-            if session.band_sharding and not session.reference:
-                band_sharding = True
-        if link_cache is None:
-            link_cache = True
-        if vectorized is None:
-            vectorized = link_cache
-
-        self.sim = Simulator(trace=trace, checks=checks, obs=obs)
-        if trace is not None:
-            trace.bind_clock(lambda: self.sim.now)
+        self.sim = Simulator(trace=trace, obs=obs)
         self.rng = RngStreams(seed)
         self.path_loss = path_loss if path_loss is not None else LogDistancePathLoss()
         self.fading = fading if fading is not None else LogNormalFading(sigma_db=4.0)
@@ -192,11 +136,6 @@ class Deployment:
             path_loss=self.path_loss,
             fading=self.fading,
             rng=self.rng,
-            link_cache=link_cache,
-            reference_accumulators=reference_accumulators,
-            vectorized=vectorized,
-            band_sharding=band_sharding,
-            sharded_scheduler=sharded_scheduler,
         )
         self.networks: List[Network] = []
         self.nodes: Dict[str, Node] = {}

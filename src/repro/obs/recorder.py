@@ -95,10 +95,8 @@ class Observability:
             )
         self.sim = sim
         self.start_time = sim.now
-        # Scheduler health gauges: live (non-cancelled) events across the
-        # main heap plus all band shards, and the cumulative compaction
-        # count.  Both read EventQueue bookkeeping that is maintained
-        # whether or not band sharding is active.
+        # Scheduler health gauges: live (non-cancelled) events and the
+        # cumulative compaction count, both from EventQueue bookkeeping.
         queue = sim.event_queue
         self.registry.gauge("event_queue.live",
                             lambda q=queue: float(q.live))

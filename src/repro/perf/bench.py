@@ -5,9 +5,9 @@ The suite times the hot paths the PR-2 performance layer optimised:
 - ``event_queue``       — self-rescheduling event throughput (push/pop);
 - ``event_cancel_churn``— heavy cancellation (exercises heap compaction);
 - ``medium_fanout``     — one transmitter fanning frames to 30 receivers
-  through the :class:`~repro.phy.medium.LinkGainCache`;
+  through the :class:`~repro.phy.vectorized.VectorizedLinkCache`;
 - ``fanout_1k``         — the same rig at 1000 receivers: the regime the
-  struct-of-arrays :mod:`repro.phy.vectorized` path is built for;
+  struct-of-arrays link cache is built for;
 - ``cca_probe``         — the O(1) incremental sensing-path probe;
 - ``cca_probe_brute``   — the pre-optimisation O(n·mask) re-summation,
   kept as the honest "before" reference (also used by the accumulator
@@ -24,9 +24,8 @@ The suite times the hot paths the PR-2 performance layer optimised:
   saturated link each) run for 20 ms of sim time, costed per sent
   frame; the scale tier the vectorized fan-out targets (skipped in
   ``--quick`` mode);
-- ``mini_run_50k``      — the same scene at 50 000 motes: the sharded-
-  scheduler + batched-accumulator regime (DESIGN.md §15; skipped in
-  ``--quick`` mode);
+- ``mini_run_50k``      — the same scene at 50 000 motes: the batched
+  fan-out regime (DESIGN.md §15; skipped in ``--quick`` mode);
 - ``mini_run_50k_smoke``— the 50k scene at 5 ms of sim time, sized for
   the CI ``scale`` job (selected there via ``--only``); part of the
   full suite so the committed baseline carries a number the scale job
@@ -272,7 +271,9 @@ def _cca_rig(n_signals: int = 20):
             start_time=0.0,
             end_time=1.0,
         )
-        rx._add_signal(Signal(transmission, -60.0 - i))
+        signal = Signal(transmission, -60.0 - i)
+        # Bookkeeping only: never lock, so the rig stays a pure CCA probe.
+        rx.start_signal(signal, *rx._gains_for(signal.channel_mhz), False)
     return rx
 
 

@@ -58,8 +58,7 @@ class SpectralMask:
 
         Returns a float64 numpy array, bit-identical to element-wise
         :meth:`leakage_db` calls (the default loops; overrides must keep
-        the guarantee — the vectorized medium relies on it when deriving
-        band-shard interaction bounds).
+        the guarantee so batched callers match the scalar path exactly).
         """
         import numpy as np
 

@@ -8,27 +8,29 @@ every *audible* radio (path loss + per-packet fading), delivers a
 (lockable co-channel frame vs. inter-channel interference) — the medium is
 channel-agnostic and simply carries centre frequencies around.
 
-Performance architecture (see DESIGN.md §9)
--------------------------------------------
-Node positions are static for the lifetime of a run, so the mean link
-budget between any two radios never changes.  :class:`LinkGainCache`
-exploits this twice:
+One fast path, one reference path (DESIGN.md §9)
+------------------------------------------------
+``begin_transmission`` has exactly two delivery loops:
 
-1. **mean-RSS memoisation** — the path-loss model is consulted once per
-   ``(source, receiver, tx power)`` triple instead of once per frame;
-2. **audible-set culling** — receivers whose *best-case* RSS (mean plus
-   the fading model's maximum possible gain, :meth:`FadingModel.max_gain_db`)
-   cannot clear ``delivery_floor_dbm`` are dropped from the fan-out list
-   entirely, so transmission cost scales with the number of audible
-   receivers, not with the size of the network.
+- the **fast path** takes the transmission's
+  :class:`~repro.phy.vectorized.FanoutBatch` from the
+  :class:`~repro.phy.vectorized.VectorizedLinkCache` (static mean RSS,
+  culled audible set, per-receiver mask gains), draws every fading sample
+  of the fan-out in one batch and hands each surviving receiver its
+  precomputed gains through :meth:`Radio.start_signal
+  <repro.phy.radio.Radio.start_signal>`;
+- the **reference path** (``Medium(reference=True)``) scans every radio
+  through the scalar path-loss model with one scalar fading draw per link
+  and delivers through :meth:`Radio.on_signal_start
+  <repro.phy.radio.Radio.on_signal_start>`, and its radios re-derive every
+  power probe from the spectral masks.
 
-Culling is exact, not approximate: a culled receiver is one that could not
-have been delivered a signal under *any* fading draw, so the brute-force
-fan-out (``link_cache=False``) produces byte-identical results.  That
-guarantee requires fading draws to be independent per link, which is why
-fading uses **per-link RNG streams** (named ``fading.{src}.{dst}``) rather
-than one shared stream: skipping an inaudible link must not shift any other
-link's draw sequence.
+Both paths end in the same ``Radio.start_signal``, so the power sum that
+CCA senses is written in one place.  Culling is exact — a culled receiver
+could not clear the floor under any fading draw, and fading draws come from
+**per-link RNG streams** (named ``fading.{src}.{dst}``), so skipping a link
+never shifts another's draws — and the two paths produce identical traces,
+which ``repro check diff`` gates.
 
 Event ordering: at identical timestamps, signal *ends* fire before signal
 *starts* (priority 0 vs 1) so that back-to-back transmissions do not appear
@@ -52,12 +54,12 @@ from .propagation import PathLossModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radio import Radio
+    from .vectorized import VectorizedLinkCache
 
 __all__ = [
     "Transmission",
     "Signal",
     "Medium",
-    "LinkGainCache",
     "PRIORITY_SIGNAL_END",
     "PRIORITY_SIGNAL_START",
 ]
@@ -87,7 +89,7 @@ class Signal:
 
     ``decode_mw`` / ``sense_mw`` are the receiver-cached post-mask
     contributions of this signal to the decode-path and sensing-path
-    in-channel power sums (set by :meth:`Radio._add_signal`); caching them
+    in-channel power sums (set by :meth:`Radio.start_signal`); caching them
     here makes the incremental power accumulators O(1) per probe.
     """
 
@@ -124,97 +126,6 @@ class Signal:
         )
 
 
-#: One audible-set entry: (receiver, mean RSS at the receiver in dBm,
-#: the per-link fading stream).
-AudibleEntry = Tuple["Radio", float, "np.random.Generator"]
-
-
-class LinkGainCache:
-    """Precomputed static link budgets and per-source audible sets.
-
-    Built lazily: the audible set for a ``(source, tx_power)`` pair is
-    computed on its first transmission and reused for every subsequent
-    frame.  Registering a new radio updates every cached audible set
-    *incrementally* (:meth:`register_radio` — the newcomer is appended
-    wherever it is audible, exactly where a full rebuild would place it);
-    moving a radio requires an explicit :meth:`invalidate` (positions are
-    assumed static).
-    """
-
-    __slots__ = ("_medium", "_audible", "_sources")
-
-    def __init__(self, medium: "Medium") -> None:
-        self._medium = medium
-        self._audible: Dict[Tuple[int, float], List[AudibleEntry]] = {}
-        #: id(source) -> source, so cached keys can be resolved back to
-        #: radios during incremental registration.  Holding the reference
-        #: also guarantees the id is never recycled while cached.
-        self._sources: Dict[int, "Radio"] = {}
-
-    def invalidate(self) -> None:
-        """Drop every cached audible set (e.g. after a position change)."""
-        self._audible.clear()
-        self._sources.clear()
-
-    def register_radio(self, radio: "Radio") -> None:
-        """Incrementally fold a newly registered radio into cached sets.
-
-        A full rebuild iterates ``medium._radios`` in registration order,
-        so the newcomer — last in that order — would land at the end of
-        every audible list it belongs to.  Appending it there (with the
-        mean RSS from the same scalar model call) is therefore
-        bit-identical to invalidating and rebuilding, at O(cached keys)
-        cost instead of O(cached keys x radios).
-        """
-        if not self._audible:
-            return
-        medium = self._medium
-        path_loss = medium.path_loss
-        floor = medium.delivery_floor_dbm
-        headroom = medium.fading.max_gain_db()
-        for (source_id, tx_power_dbm), entries in self._audible.items():
-            source = self._sources[source_id]
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            if mean_rss + headroom < floor:
-                continue
-            entries.append(
-                (radio, mean_rss, medium.link_fading_stream(source, radio))
-            )
-
-    def audible_entries(self, source: "Radio", tx_power_dbm: float) -> List[AudibleEntry]:
-        """Receivers that can possibly hear ``source`` at ``tx_power_dbm``."""
-        key = (id(source), tx_power_dbm)
-        entries = self._audible.get(key)
-        if entries is None:
-            entries = self._build(source, tx_power_dbm)
-            self._audible[key] = entries
-            self._sources[id(source)] = source
-        return entries
-
-    def _build(self, source: "Radio", tx_power_dbm: float) -> List[AudibleEntry]:
-        medium = self._medium
-        path_loss = medium.path_loss
-        floor = medium.delivery_floor_dbm
-        headroom = medium.fading.max_gain_db()
-        entries: List[AudibleEntry] = []
-        for radio in medium._radios:
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            if mean_rss + headroom < floor:
-                continue  # inaudible under any fading draw: cull
-            entries.append(
-                (radio, mean_rss, medium.link_fading_stream(source, radio))
-            )
-        return entries
-
-
 class Medium:
     """Registry of radios plus signal delivery.
 
@@ -233,46 +144,14 @@ class Medium:
         Signals below this received power are not delivered at all (they
         would be ~20 dB under the noise floor); keeps event counts linear in
         the number of *audible* receivers.
-    link_cache:
-        When ``True`` (the default) fan-out uses the
-        :class:`LinkGainCache` audible sets; ``False`` forces the
-        brute-force all-radios scan (reference path for exactness tests).
-    reference_accumulators:
-        When ``True`` every radio registered on this medium answers its
-        power probes by full per-call mask re-evaluation (the pre-PR-2
-        algorithm) instead of the memoised-gain incremental
-        accumulators.  Together with ``link_cache=False`` this is the
-        complete reference path the differential oracle
-        (``python -m repro check diff``) runs against.
-    vectorized:
-        When ``True`` (the default) the link cache is the struct-of-arrays
-        :class:`~repro.phy.vectorized.VectorizedLinkCache`: audible sets
-        build through one batched path-loss call and fan-out draws all
-        fading samples per transmission in one batch.  Bit-identical to
-        the scalar cache (gated by ``repro check diff``); requires
-        ``link_cache=True``.  See DESIGN.md §13.
-    band_sharding:
-        Opt-in approximation on top of the vectorized path: receivers
-        whose best-case *post-mask* power at the transmission channel
-        falls below ``delivery_floor_dbm`` are skipped entirely, so
-        far-apart frequency bands never interact.  Sub-floor accumulator
-        contributions (>=60 dB under the noise floor) are dropped, which
-        is not guaranteed bit-exact for every workload — hence off by
-        default.  Requires ``vectorized=True``.
-    sharded_scheduler:
-        The 50k-mote fast path (DESIGN.md §15), two coupled pieces: band
-        sub-heaps on the event queue (each radio's timers and each
-        transmission's end events land in a per-frequency-band shard,
-        isolating CSMA churn and compaction per band) and the *batched*
-        delivery loop (per-receiver accumulator updates driven by
-        precomputed :class:`~repro.phy.vectorized.FanoutBatch` columns
-        instead of per-signal ``Radio._add_signal`` dispatch).  Both are
-        bit-exact: shard placement never reorders dispatch (the
-        ``(time, priority, seq)`` key stays a global total order) and the
-        batched loop performs float-for-float the same operations as the
-        scalar path (gated by ``repro check diff`` and whole-scene
-        property tests).  ``None`` (the default) resolves to
-        ``vectorized``; requires ``vectorized=True`` when forced on.
+    reference:
+        Run the reference path: every transmission scans all radios through
+        the scalar path-loss model, and every radio answers its power
+        probes by full per-call mask re-evaluation.  ``None`` (the
+        default) follows the active
+        :class:`~repro.check.runtime.CheckSession`, if any, else the fast
+        path.  The differential oracle (``python -m repro check diff``)
+        runs exhibits on both paths and requires identical traces.
     """
 
     def __init__(
@@ -282,46 +161,28 @@ class Medium:
         fading: Optional[FadingModel] = None,
         rng: Optional[RngStreams] = None,
         delivery_floor_dbm: float = -115.0,
-        link_cache: bool = True,
-        reference_accumulators: bool = False,
-        vectorized: bool = True,
-        band_sharding: bool = False,
-        sharded_scheduler: Optional[bool] = None,
+        reference: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.path_loss = path_loss
         self.fading = fading if fading is not None else NoFading()
         self.rng = rng if rng is not None else RngStreams(0)
         self.delivery_floor_dbm = delivery_floor_dbm
-        self.reference_accumulators = bool(reference_accumulators)
+        if reference is None:
+            from ..check.runtime import active_session
+
+            session = active_session()
+            reference = session is not None and session.reference
+        self.reference = bool(reference)
         self._radios: List["Radio"] = []
         self._radio_ids: set = set()
         self._radios_snapshot: Optional[Tuple["Radio", ...]] = None
-        if link_cache and vectorized:
+        self._link_cache: Optional["VectorizedLinkCache"] = None
+        if not self.reference:
+            # Deferred so ``import repro`` does not pay for the module.
             from .vectorized import VectorizedLinkCache
 
-            self._gain_cache: Optional[LinkGainCache] = VectorizedLinkCache(self)
-            self._vec_cache = self._gain_cache
-        else:
-            self._gain_cache = LinkGainCache(self) if link_cache else None
-            self._vec_cache = None
-        self.vectorized = self._vec_cache is not None
-        if band_sharding and not self.vectorized:
-            raise ValueError(
-                "band_sharding requires the vectorized link cache "
-                "(vectorized=True, link_cache=True)"
-            )
-        self.band_sharding = bool(band_sharding)
-        if sharded_scheduler is None:
-            sharded_scheduler = self.vectorized
-        elif sharded_scheduler and not self.vectorized:
-            raise ValueError(
-                "sharded_scheduler requires the vectorized link cache "
-                "(vectorized=True, link_cache=True)"
-            )
-        self.sharded_scheduler = bool(sharded_scheduler)
-        #: channel_mhz -> event-queue shard index (lazily registered).
-        self._band_shards: Dict[float, int] = {}
+            self._link_cache = VectorizedLinkCache(self)
         self._link_streams: Dict[Tuple[int, int], "np.random.Generator"] = {}
 
     # ------------------------------------------------------------------
@@ -332,13 +193,11 @@ class Medium:
         self._radio_ids.add(id(radio))
         self._radios.append(radio)
         self._radios_snapshot = None
-        if self.sharded_scheduler:
-            radio.event_shard = self._band_shard(radio.channel_mhz)
-        if self._gain_cache is not None:
+        if self._link_cache is not None:
             # The new radio may be audible to already-cached sources:
             # fold it into each cached set in place (bit-identical to a
-            # full rebuild, see LinkGainCache.register_radio).
-            self._gain_cache.register_radio(radio)
+            # full rebuild, see VectorizedLinkCache.register_radio).
+            self._link_cache.register_radio(radio)
 
     @property
     def radios(self) -> Tuple["Radio", ...]:
@@ -349,18 +208,10 @@ class Medium:
             snapshot = self._radios_snapshot = tuple(self._radios)
         return snapshot
 
-    def _band_shard(self, channel_mhz: float) -> int:
-        """Event-queue shard for a frequency band (registered lazily)."""
-        shard = self._band_shards.get(channel_mhz)
-        if shard is None:
-            shard = self.sim.add_event_shard()
-            self._band_shards[channel_mhz] = shard
-        return shard
-
     def invalidate_link_cache(self) -> None:
         """Drop cached link budgets after a radio position change."""
-        if self._gain_cache is not None:
-            self._gain_cache.invalidate()
+        if self._link_cache is not None:
+            self._link_cache.invalidate()
 
     def link_fading_stream(
         self, source: "Radio", receiver: "Radio"
@@ -408,23 +259,6 @@ class Medium:
         ]
 
     # ------------------------------------------------------------------
-    def _audible_entries(
-        self, source: "Radio", tx_power_dbm: float
-    ) -> List[AudibleEntry]:
-        if self._gain_cache is not None:
-            return self._gain_cache.audible_entries(source, tx_power_dbm)
-        # Reference path: consult the path-loss model for every radio.
-        path_loss = self.path_loss
-        entries: List[AudibleEntry] = []
-        for radio in self._radios:
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            entries.append((radio, mean_rss, self.link_fading_stream(source, radio)))
-        return entries
-
     def begin_transmission(
         self,
         source: "Radio",
@@ -464,23 +298,17 @@ class Medium:
         if obs is not None:
             obs.on_transmission(source.name, channel_mhz, airtime)
         floor = self.delivery_floor_dbm
-        fading = self.fading
         delivered: List[Tuple["Radio", Signal]] = []
-        vec = self._vec_cache
-        if vec is not None and self.sharded_scheduler:
-            # Batched delivery (DESIGN.md §15): one vector add for the
-            # per-packet RSS column, then a tight loop over the survivors
-            # that inlines Radio.on_signal_start/_add_signal against the
-            # FanoutBatch's precomputed gain columns.  Every float
-            # operation (mean+draw add, floor compare, 10**(rss/10),
-            # gain multiplies, sense-sum accumulation) mirrors the scalar
-            # path operand-for-operand, so accumulator bits and traces
-            # are identical — gated by `repro check diff` and the
-            # whole-scene sharded-vs-unsharded property test.
-            batch = vec.fanout_batch(source, tx_power_dbm, channel_mhz)
+        cache = self._link_cache
+        if cache is not None:
+            # Fast path: one fading draw batch and one vector add for the
+            # per-packet RSS column, then one radio call per survivor with
+            # the batch's precomputed gains.  The floats are the ones the
+            # reference loop below computes, operand for operand.
+            batch = cache.fanout_batch(source, tx_power_dbm, channel_mhz)
             radios = batch.radios
             if radios:
-                draws = fading.sample_db_many(batch.streams)
+                draws = self.fading.sample_db_many(batch.streams)
                 rss_arr = batch.means + np.asarray(draws)
                 keep = rss_arr >= floor
                 if keep.all():
@@ -490,71 +318,35 @@ class Medium:
                 rss_values = rss_arr.tolist()
                 decode_gains = batch.decode_gains
                 sense_gains = batch.sense_gains
-                co_channel = batch.co_channel
-                inline = batch.inline
-                checks = sim.checks
+                lockable = batch.lockable
                 append = delivered.append
+                new_signal = Signal.__new__
                 for i in indices:
                     radio = radios[i]
                     rss = rss_values[i]
-                    if not inline[i]:
-                        # Subclass with custom lock semantics: deliver
-                        # through its own on_signal_start, exactly as the
-                        # unsharded list path does.
-                        signal = Signal(transmission, rss)
-                        radio.on_signal_start(signal)
-                        append((radio, signal))
-                        continue
-                    signal = Signal.__new__(Signal)
+                    # Signal.__init__ inlined (same expressions, minus the
+                    # zeroed power caches start_signal overwrites): one
+                    # Python frame per delivered signal is measurable here.
+                    signal = new_signal(Signal)
                     signal.transmission = transmission
                     signal.rx_power_dbm = rss
-                    mw = 10.0 ** (rss / 10.0)
-                    signal.rx_power_mw = mw
+                    signal.rx_power_mw = 10.0 ** (rss / 10.0)
                     signal.channel_mhz = channel_mhz
-                    signal.decode_mw = mw * decode_gains[i]
-                    sense_mw = mw * sense_gains[i]
-                    signal.sense_mw = sense_mw
-                    reception = radio.current_reception
-                    if reception is not None:
-                        # Close the elapsed segment under the old
-                        # interference set before this signal counts.
-                        reception.on_interference_change()
-                    radio.active_signals.append(signal)
-                    sense_sum = radio._sense_sum_mw + sense_mw
-                    radio._sense_sum_mw = sense_sum
-                    radio._sense_history.append(
-                        (now, radio._noise_mw + sense_sum)
+                    radio.start_signal(
+                        signal, decode_gains[i], sense_gains[i], lockable[i]
                     )
-                    if checks is not None:
-                        checks.on_accumulator_update(radio)
-                    if reception is None and co_channel[i]:
-                        radio._maybe_lock(signal)
                     append((radio, signal))
-        elif vec is not None:
-            # Batched fan-out: parallel (radios, means, streams) lists and
-            # one sample_db_many call per transmission.  Draw values, draw
-            # order per stream, delivery order and float operations are
-            # identical to the scalar loop below.
-            if self.band_sharding:
-                radios, means, streams = vec.sharded_fanout_lists(
-                    source, tx_power_dbm, channel_mhz
-                )
-            else:
-                radios, means, streams = vec.fanout_lists(source, tx_power_dbm)
-            append = delivered.append
-            draws = fading.sample_db_many(streams)
-            for radio, mean_rss, draw in zip(radios, means, draws):
-                rss = mean_rss + draw
-                if rss < floor:
-                    continue
-                signal = Signal(transmission, rss)
-                radio.on_signal_start(signal)
-                append((radio, signal))
         else:
-            for radio, mean_rss, stream in self._audible_entries(
-                source, tx_power_dbm
-            ):
-                rss = mean_rss + fading.sample_db(stream)
+            # Reference path: every radio, the scalar path-loss model and
+            # one scalar fading draw per link, every frame.
+            path_loss = self.path_loss
+            fading = self.fading
+            for radio in self._radios:
+                if radio is source:
+                    continue
+                rss = path_loss.received_power_dbm(
+                    tx_power_dbm, source.position, radio.position
+                ) + fading.sample_db(self.link_fading_stream(source, radio))
                 if rss < floor:
                     continue
                 signal = Signal(transmission, rss)
@@ -570,18 +362,13 @@ class Medium:
                 for radio, signal in delivered:
                     radio.on_signal_end(signal)
 
-            # Band-local events ride the source's band shard (None: main
-            # heap).  Placement never affects dispatch order — see
-            # repro.sim.events — it only isolates per-band heap churn.
             sim.schedule(
-                airtime, _end_all, priority=PRIORITY_SIGNAL_END,
-                tag="signal_end", shard=source.event_shard,
+                airtime, _end_all, priority=PRIORITY_SIGNAL_END, tag="signal_end"
             )
         sim.schedule(
             airtime,
             lambda: on_complete(transmission),
             priority=PRIORITY_SIGNAL_END + 1,
             tag="tx_end",
-            shard=source.event_shard,
         )
         return transmission

@@ -117,7 +117,7 @@ class Radio:
         #: instead of once per probe.
         self._gain_memo: dict = {}
         #: Running sensing-path interference sum (mW, excludes noise).
-        #: Maintained incrementally by :meth:`_add_signal` /
+        #: Maintained incrementally by :meth:`start_signal` /
         #: :meth:`_remove_signal`; reset exactly on removal so float drift
         #: cannot accumulate.
         self._sense_sum_mw = 0.0
@@ -127,20 +127,15 @@ class Radio:
         #: the time-averaged RSSI register.
         self._sense_history = deque(maxlen=128)
         self._sense_history.append((self.sim.now, self._noise_mw))
-        #: Reference-path toggle (set by the medium): when True the
+        #: Reference-path toggle (``Medium.reference``): when True the
         #: power probes re-derive every contribution from the spectral
         #: masks per call instead of using the memoised gains and the
-        #: incremental sum — the pre-PR-2 algorithm, kept live for the
-        #: differential oracle (``python -m repro check diff``).
-        self._reference_accumulators = medium.reference_accumulators
+        #: incremental sum, for the differential oracle
+        #: (``python -m repro check diff``).
+        self._reference = medium.reference
         #: The sim's trace sink is fixed at construction; caching the
         #: object saves two attribute hops per delivered signal.
         self._trace = sim.trace
-        #: Band sub-heap index for this radio's timers and signal events
-        #: (``None``: the main event heap).  Assigned by the medium during
-        #: registration when the sharded scheduler is enabled; MAC layers
-        #: pass it as ``shard=`` when scheduling band-local events.
-        self.event_shard: Optional[int] = None
         medium.register(self)
         if sim.obs is not None:
             sim.obs.register_radio(self)
@@ -179,16 +174,42 @@ class Radio:
             self._gain_memo[channel_mhz] = gains
         return gains
 
-    def _add_signal(self, signal: Signal) -> None:
-        """Start tracking ``signal``: cache its post-mask contributions,
-        fold them into the running sensing-path sum (O(1)) and step the
-        RSSI-register history."""
-        gains = self._gain_memo.get(signal.channel_mhz)
-        if gains is None:
-            gains = self._gains_for(signal.channel_mhz)
+    def _lockable(self, channel_mhz: float) -> bool:
+        """Whether a signal at ``channel_mhz`` may be locked onto at all.
+
+        The 802.15.4 receiver locks only co-channel signals; subclasses with
+        other lock semantics override this together with
+        :meth:`_maybe_lock`.
+        """
+        offset = channel_mhz - self.channel_mhz
+        return (offset if offset >= 0.0 else -offset) <= self._co_channel_tolerance_mhz
+
+    def start_signal(
+        self,
+        signal: Signal,
+        decode_gain: float,
+        sense_gain: float,
+        lockable: bool,
+    ) -> None:
+        """A signal starts at this radio: account for it, then maybe lock.
+
+        The one home of the power bookkeeping.  ``decode_gain`` /
+        ``sense_gain`` are this radio's :meth:`_gains_for` values and
+        ``lockable`` its :meth:`_lockable` verdict for the signal's
+        channel; the medium's fast path passes them precomputed per
+        fan-out entry, :meth:`on_signal_start` looks them up.  The signal's
+        post-mask contributions are cached on it, folded into the running
+        sensing-path sum (O(1)) and stepped into the RSSI-register history.
+        An ongoing reception first closes its elapsed segment under the
+        *old* interference set and keeps its lock; otherwise a lockable
+        signal goes up the lock ladder.
+        """
+        reception = self.current_reception
+        if reception is not None:
+            reception.on_interference_change()
         rx_power_mw = signal.rx_power_mw
-        signal.decode_mw = rx_power_mw * gains[0]
-        sense_mw = rx_power_mw * gains[1]
+        signal.decode_mw = rx_power_mw * decode_gain
+        sense_mw = rx_power_mw * sense_gain
         signal.sense_mw = sense_mw
         self.active_signals.append(signal)
         sense_sum = self._sense_sum_mw + sense_mw
@@ -198,6 +219,8 @@ class Radio:
         checks = sim.checks
         if checks is not None:
             checks.on_accumulator_update(self)
+        if reception is None and lockable:
+            self._maybe_lock(signal)
 
     def _remove_signal(self, signal: Signal) -> None:
         """Stop tracking ``signal`` and rebuild the sensing-path sum.
@@ -233,7 +256,7 @@ class Radio:
         (contribution cached at signal start).  This is the interference
         term of reception SINR.
         """
-        if self._reference_accumulators:
+        if self._reference:
             return self.resample_in_channel_power_mw(exclude)
         total = self._noise_mw
         for signal in self.active_signals:
@@ -248,7 +271,7 @@ class Radio:
         O(1): the per-signal contributions are accumulated incrementally as
         signals start and end rather than re-summed on every probe.
         """
-        if self._reference_accumulators:
+        if self._reference:
             return self.resample_sense_power_mw()
         return self._noise_mw + self._sense_sum_mw
 
@@ -383,28 +406,17 @@ class Radio:
     # Medium callbacks
     # ------------------------------------------------------------------
     def on_signal_start(self, signal: Signal) -> None:
-        reception = self.current_reception
-        if reception is not None:
-            # Close the elapsed segment under the *old* interference set
-            # before the new signal starts counting.
-            reception.on_interference_change()
-            self._add_signal(signal)
-            return
-        self._add_signal(signal)
-        offset = signal.channel_mhz - self.channel_mhz
-        if (offset if offset >= 0.0 else -offset) > self._co_channel_tolerance_mhz:
-            return
-        self._maybe_lock(signal)
+        channel_mhz = signal.channel_mhz
+        decode_gain, sense_gain = self._gains_for(channel_mhz)
+        self.start_signal(
+            signal, decode_gain, sense_gain, self._lockable(channel_mhz)
+        )
 
     def _maybe_lock(self, signal: Signal) -> None:
-        """Lock ladder for a just-added co-channel signal.
+        """Lock ladder for a just-added lockable signal.
 
-        Factored out of :meth:`on_signal_start` so the medium's batched
-        delivery loop (which precomputes the co-channel test per fanout
-        entry) can reuse it.  The state/sensitivity/SINR checks are pure
-        predicates with no observable effects before the first trace emit,
-        so evaluating the channel-offset test ahead of them — as both call
-        sites do — leaves traces untouched.
+        The state/sensitivity/SINR checks are pure predicates with no
+        observable effects before the first trace emit.
         """
         if self.state is not RadioState.IDLE:
             return
@@ -464,7 +476,7 @@ class Radio:
         if (
             len(active) == 1
             and active[0] is signal
-            and not self._reference_accumulators
+            and not self._reference
         ):
             interference_mw = self._noise_mw
         else:

@@ -137,7 +137,7 @@ class Reception:
         if (
             len(active) == 1
             and active[0] is signal
-            and not radio._reference_accumulators
+            and not radio._reference
         ):
             interference_mw = radio._noise_mw
         else:

@@ -1,13 +1,30 @@
-"""Struct-of-arrays batched fanout: the vectorized medium kernel.
+"""The medium's link cache: struct-of-arrays audible sets and fan-out batches.
 
-The scalar :class:`~repro.phy.medium.LinkGainCache` builds each audible set
-with one Python-level path-loss call per registered radio — O(n) model
-dispatches per ``(source, tx power)`` pair, which dominates start-up cost
-for 10k-node scenes.  This module keeps a contiguous numpy mirror of the
-radio registry (:class:`RadioArrays`) and evaluates the mean link budget
-for the *whole* registry in one batched call, then confirms the survivors
-through the scalar model so cached values stay bit-identical to the scalar
-cache (see DESIGN.md §13 for the full exactness argument).
+Node positions are static for the lifetime of a run, so the mean link budget
+between two radios never changes.  :class:`VectorizedLinkCache` exploits
+this twice:
+
+1. **mean-RSS memoisation** — the path-loss model is consulted once per
+   ``(source, receiver, tx power)`` triple instead of once per frame;
+2. **audible-set culling** — receivers whose *best-case* RSS (mean plus the
+   fading model's maximum possible gain, :meth:`FadingModel.max_gain_db`)
+   cannot clear the medium's ``delivery_floor_dbm`` are dropped from the
+   fan-out entirely, so transmission cost scales with the number of audible
+   receivers, not with the size of the network.
+
+Culling is exact: a culled receiver could not have been delivered a signal
+under *any* fading draw, and fading draws come from per-link streams, so
+skipping a link never shifts another link's draws.  The medium's brute-force
+reference path (``Medium(reference=True)``) therefore produces the same
+traces, which ``repro check diff`` gates.
+
+Audible sets build in one batch: :class:`RadioArrays` keeps a contiguous
+numpy mirror of the radio positions, and the mean link budget for the whole
+registry is evaluated in one call, then the survivors are confirmed through
+the scalar model (DESIGN.md §13).  For every ``(source, tx power, channel)``
+the cache also keeps a :class:`FanoutBatch` of per-receiver delivery
+columns, so ``Medium.begin_transmission`` draws all fading samples of a
+transmission at once and hands each receiver its precomputed gains.
 
 Exactness
 ---------
@@ -18,25 +35,6 @@ than any SIMD rounding difference; every cached ``mean_rss`` is re-derived
 through ``received_power_dbm`` (the scalar path).  A radio kept by the
 scalar cull condition ``mean + headroom >= floor`` therefore can never be
 dropped by the preselection ``approx + headroom >= floor - guard``.
-
-Band sharding (opt-in)
-----------------------
-``Medium(band_sharding=True)`` additionally drops fanout entries whose
-*best-case post-mask* power cannot reach the delivery floor at the
-transmission's channel::
-
-    mean_rss + max_fading_gain - min(decode_leakage, sense_leakage) < floor
-
-i.e. radios in frequency bands whose cross-band leakage falls below
-``delivery_floor_dbm`` never see the signal at all.  Unlike the audible-set
-cull this is an **approximation**: a delivered sub-floor signal still
-contributes ~10^-18 mW to the receiver's power accumulators, and skipping
-it perturbs those sums in the last few bits.  No CCA or SINR decision can
-realistically flip (the dropped contribution sits >=60 dB under the noise
-floor), and the property tests pin trace-identity on representative
-scenes, but bit-exactness across *all* workloads is not guaranteed —
-which is why sharding is not the default.  Co-channel links are never
-dropped (zero leakage), so frame delivery itself is unaffected.
 """
 
 from __future__ import annotations
@@ -45,15 +43,15 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from .medium import AudibleEntry, LinkGainCache
-
 if TYPE_CHECKING:  # pragma: no cover
+    from .medium import Medium
     from .radio import Radio
 
 __all__ = [
     "RadioArrays",
     "VectorizedLinkCache",
     "FanoutBatch",
+    "AudibleSet",
     "PRESELECT_GUARD_DB",
 ]
 
@@ -63,33 +61,29 @@ __all__ = [
 #: magnitude of margin while culling everything meaningfully inaudible.
 PRESELECT_GUARD_DB = 1e-6
 
-#: Parallel fanout lists: (receivers, mean RSS values, fading streams).
-FanoutLists = Tuple[List["Radio"], List[float], List[object]]
+#: One audible set as parallel lists: (receivers in registration order,
+#: mean RSS at each receiver in dBm, per-link fading streams).
+AudibleSet = Tuple[List["Radio"], List[float], List[object]]
 
 
 class FanoutBatch:
     """Per-(source, tx power, channel) precomputed delivery columns.
 
-    Everything the batched delivery loop in ``Medium.begin_transmission``
-    needs per fanout entry, gathered once and reused for every frame:
+    Everything the delivery loop in ``Medium.begin_transmission`` needs
+    per fan-out entry, gathered once and reused for every frame:
 
     - ``means`` as a float64 array so the per-packet RSS (`mean + draw`)
       computes in one vector add (IEEE elementwise add — bit-identical to
       the scalar sums);
     - ``decode_gains`` / ``sense_gains`` pulled from each receiver's own
-      ``_gains_for`` memo, so batched accumulator updates multiply the
-      exact floats the scalar ``Radio._add_signal`` would use;
-    - ``co_channel`` flags precomputing the lock-eligibility offset test;
-    - ``inline`` flags marking receivers whose class uses the base
-      ``Radio.on_signal_start`` — only those may take the inlined
-      delivery loop; subclasses with custom lock semantics (e.g. the
-      false-locking 802.11b radio) are dispatched through their own
-      ``on_signal_start`` override.
+      ``_gains_for`` memo, the exact floats ``Radio.on_signal_start``
+      would look up;
+    - ``lockable`` flags: each receiver's own ``_lockable`` verdict for
+      the transmission channel (co-channel for the 802.15.4 radio).
     """
 
     __slots__ = (
-        "radios", "streams", "means", "decode_gains", "sense_gains",
-        "co_channel", "inline",
+        "radios", "streams", "means", "decode_gains", "sense_gains", "lockable",
     )
 
     def __init__(
@@ -99,33 +93,30 @@ class FanoutBatch:
         means: np.ndarray,
         decode_gains: List[float],
         sense_gains: List[float],
-        co_channel: List[bool],
-        inline: List[bool],
+        lockable: List[bool],
     ) -> None:
         self.radios = radios
         self.streams = streams
         self.means = means
         self.decode_gains = decode_gains
         self.sense_gains = sense_gains
-        self.co_channel = co_channel
-        self.inline = inline
+        self.lockable = lockable
 
 
 class RadioArrays:
     """Contiguous struct-of-arrays mirror of a medium's radio registry.
 
-    Holds positions and centre frequencies in flat float64 arrays (grown
-    amortised-O(1)) alongside the radio objects in registration order, so
-    batched kernels can run over the whole registry without touching
-    per-object Python attributes.
+    Holds positions in a flat float64 array (grown amortised-O(1))
+    alongside the radio objects in registration order, so batched kernels
+    can run over the whole registry without touching per-object Python
+    attributes.
     """
 
-    __slots__ = ("radios", "_xy", "_channels", "_count")
+    __slots__ = ("radios", "_xy", "_count")
 
     def __init__(self) -> None:
         self.radios: List["Radio"] = []
         self._xy = np.empty((16, 2))
-        self._channels = np.empty(16)
         self._count = 0
 
     def __len__(self) -> int:
@@ -136,211 +127,165 @@ class RadioArrays:
         """Positions, shape ``(n, 2)`` (a view; do not mutate)."""
         return self._xy[: self._count]
 
-    @property
-    def channels_mhz(self) -> np.ndarray:
-        """Centre frequencies, shape ``(n,)`` (a view; do not mutate)."""
-        return self._channels[: self._count]
-
     def append(self, radio: "Radio") -> None:
         n = self._count
         if n == len(self._xy):
             self._xy = np.resize(self._xy, (2 * n, 2))
-            self._channels = np.resize(self._channels, 2 * n)
         self._xy[n, 0] = radio.position[0]
         self._xy[n, 1] = radio.position[1]
-        self._channels[n] = radio.channel_mhz
         self.radios.append(radio)
         self._count = n + 1
 
     def refresh(self) -> None:
-        """Re-copy positions/channels from the radio objects.
+        """Re-copy positions from the radio objects.
 
         Called on cache invalidation so explicit position changes (the one
         sanctioned mutation, via ``Medium.invalidate_link_cache``) are
-        reflected in the arrays."""
+        reflected in the array."""
         xy = self._xy
-        channels = self._channels
         for i, radio in enumerate(self.radios):
             xy[i, 0] = radio.position[0]
             xy[i, 1] = radio.position[1]
-            channels[i] = radio.channel_mhz
 
 
-class VectorizedLinkCache(LinkGainCache):
-    """A :class:`LinkGainCache` whose audible sets build in one batch.
+class VectorizedLinkCache:
+    """Static link budgets, per-source audible sets and fan-out batches.
 
-    Drop-in compatible (``audible_entries`` returns the identical entry
-    list, bit for bit) and additionally serves the fanout hot path with
-    parallel lists so ``Medium.begin_transmission`` can draw all fading
-    samples per transmission through one ``sample_db_many`` call.
+    Built lazily: the audible set for a ``(source, tx_power)`` pair is
+    computed on its first transmission and reused for every subsequent
+    frame.  Registering a new radio updates every cached audible set
+    *incrementally* (:meth:`register_radio`); moving a radio requires an
+    explicit :meth:`invalidate` (positions are assumed static).
     """
 
-    __slots__ = ("arrays", "_lists", "_sharded", "_batches")
+    __slots__ = ("_medium", "arrays", "_audible", "_sources", "_batches")
 
-    def __init__(self, medium) -> None:
-        super().__init__(medium)
+    def __init__(self, medium: "Medium") -> None:
+        self._medium = medium
         self.arrays = RadioArrays()
-        #: key -> (radios, mean_rss, streams) parallel lists.
-        self._lists: Dict[Tuple[int, float], FanoutLists] = {}
-        #: (key..., channel) -> band-shard filtered parallel lists.
-        self._sharded: Dict[Tuple[int, float, float], FanoutLists] = {}
-        #: (key..., channel) -> delivery columns for the batched loop.
+        #: (id(source), tx power) -> audible set.
+        self._audible: Dict[Tuple[int, float], AudibleSet] = {}
+        #: id(source) -> source, so cached keys can be resolved back to
+        #: radios during incremental registration.  Holding the reference
+        #: also guarantees the id is never recycled while cached.
+        self._sources: Dict[int, "Radio"] = {}
+        #: (id(source), tx power, channel) -> delivery columns.
         self._batches: Dict[Tuple[int, float, float], FanoutBatch] = {}
 
     # -- registry maintenance ------------------------------------------
     def register_radio(self, radio: "Radio") -> None:
+        """Fold a newly registered radio into the cached audible sets.
+
+        A full rebuild walks the registry in registration order, so the
+        newcomer — last in that order — would land at the end of every
+        audible set it belongs to.  Appending it there (with the mean RSS
+        from the same scalar model call) is therefore bit-identical to
+        invalidating and rebuilding, at O(cached keys) cost instead of
+        O(cached keys x radios).  Batches are rebuilt lazily from the
+        updated sets, with no model calls.
+        """
         self.arrays.append(radio)
-        super().register_radio(radio)
-        # Derived lists are rebuilt lazily from the (updated) entry lists;
-        # no model calls involved.
-        self._lists.clear()
-        self._sharded.clear()
         self._batches.clear()
-
-    def invalidate(self) -> None:
-        super().invalidate()
-        self._lists.clear()
-        self._sharded.clear()
-        self._batches.clear()
-        self.arrays.refresh()
-
-    # -- batched build --------------------------------------------------
-    def _build(self, source: "Radio", tx_power_dbm: float) -> List[AudibleEntry]:
+        if not self._audible:
+            return
         medium = self._medium
-        headroom = medium.fading.max_gain_db()
-        arrays = self.arrays
-        n = len(arrays)
-        if n == 0 or headroom == float("inf"):
-            # Unbounded fading disables culling: every radio is audible and
-            # the scalar build already does the minimal work.
-            return super()._build(source, tx_power_dbm)
         path_loss = medium.path_loss
         floor = medium.delivery_floor_dbm
-        approx = path_loss.received_power_dbm_batch(
-            tx_power_dbm, source.position, arrays.xy
-        )
-        candidates = np.nonzero(
-            approx >= (floor - headroom) - PRESELECT_GUARD_DB
-        )[0]
-        radios = arrays.radios
-        survivors: List["Radio"] = []
-        means: List[float] = []
-        for i in candidates:
-            radio = radios[i]
+        headroom = medium.fading.max_gain_db()
+        for (source_id, tx_power_dbm), (radios, means, streams) in (
+            self._audible.items()
+        ):
+            source = self._sources[source_id]
             if radio is source:
                 continue
-            # Exact confirmation: the cached mean comes from the scalar
-            # model, so entries are bit-identical to LinkGainCache._build.
             mean_rss = path_loss.received_power_dbm(
                 tx_power_dbm, source.position, radio.position
             )
             if mean_rss + headroom < floor:
                 continue
-            survivors.append(radio)
+            radios.append(radio)
+            means.append(mean_rss)
+            streams.append(medium.link_fading_stream(source, radio))
+
+    def invalidate(self) -> None:
+        """Drop every cached audible set (e.g. after a position change)."""
+        self._audible.clear()
+        self._sources.clear()
+        self._batches.clear()
+        self.arrays.refresh()
+
+    # -- audible sets ---------------------------------------------------
+    def audible(self, source: "Radio", tx_power_dbm: float) -> AudibleSet:
+        """Receivers that can possibly hear ``source`` at ``tx_power_dbm``."""
+        key = (id(source), tx_power_dbm)
+        audible = self._audible.get(key)
+        if audible is None:
+            audible = self._audible[key] = self._build(source, tx_power_dbm)
+            self._sources[id(source)] = source
+        return audible
+
+    def _build(self, source: "Radio", tx_power_dbm: float) -> AudibleSet:
+        medium = self._medium
+        path_loss = medium.path_loss
+        floor = medium.delivery_floor_dbm
+        headroom = medium.fading.max_gain_db()
+        arrays = self.arrays
+        if headroom == float("inf"):
+            # Unbounded fading disables culling: every radio is audible.
+            candidates = range(len(arrays))
+        else:
+            approx = path_loss.received_power_dbm_batch(
+                tx_power_dbm, source.position, arrays.xy
+            )
+            candidates = np.nonzero(
+                approx >= (floor - headroom) - PRESELECT_GUARD_DB
+            )[0].tolist()
+        registry = arrays.radios
+        radios: List["Radio"] = []
+        means: List[float] = []
+        for i in candidates:
+            radio = registry[i]
+            if radio is source:
+                continue
+            # Exact confirmation: the cached mean comes from the scalar
+            # model, the one the reference path evaluates per frame.
+            mean_rss = path_loss.received_power_dbm(
+                tx_power_dbm, source.position, radio.position
+            )
+            if mean_rss + headroom < floor:
+                continue
+            radios.append(radio)
             means.append(mean_rss)
         # Batched stream creation: one vectorized seed derivation for all
         # missing links instead of one SeedSequence each (the dominant
         # first-transmission cost at 10^5-link scale).  stream_many is
         # bit-identical to per-name stream() and shares its cache.
-        streams = medium.link_fading_streams(source, survivors)
-        return list(zip(survivors, means, streams))
+        streams = medium.link_fading_streams(source, radios)
+        return radios, means, streams
 
-    # -- fanout hot path ------------------------------------------------
-    def fanout_lists(self, source: "Radio", tx_power_dbm: float) -> FanoutLists:
-        """Audible set as parallel ``(radios, mean_rss, streams)`` lists."""
-        key = (id(source), tx_power_dbm)
-        lists = self._lists.get(key)
-        if lists is None:
-            entries = self.audible_entries(source, tx_power_dbm)
-            if entries:
-                radios, means, streams = (list(col) for col in zip(*entries))
-            else:
-                radios, means, streams = [], [], []
-            lists = (radios, means, streams)
-            self._lists[key] = lists
-        return lists
-
-    def sharded_fanout_lists(
-        self, source: "Radio", tx_power_dbm: float, channel_mhz: float
-    ) -> FanoutLists:
-        """Fanout lists with cross-band (sub-floor post-mask) links dropped.
-
-        See the module docstring for the shard condition and its
-        approximation caveat.  Cached per transmission channel; radio
-        channels are fixed after construction (the gain memo already bakes
-        in that assumption), so no epoch tracking is needed.
-        """
-        shard_key = (id(source), tx_power_dbm, channel_mhz)
-        lists = self._sharded.get(shard_key)
-        if lists is None:
-            radios, means, streams = self.fanout_lists(source, tx_power_dbm)
-            floor = self._medium.delivery_floor_dbm
-            headroom = self._medium.fading.max_gain_db()
-            kept_r: List["Radio"] = []
-            kept_m: List[float] = []
-            kept_s: List[object] = []
-            for i, radio in enumerate(radios):
-                offset = channel_mhz - radio.channel_mhz
-                best_leakage = min(
-                    radio.mask.leakage_db(offset),
-                    radio.cca_mask.leakage_db(offset),
-                )
-                if means[i] + headroom - best_leakage < floor:
-                    continue
-                kept_r.append(radio)
-                kept_m.append(means[i])
-                kept_s.append(streams[i])
-            lists = (kept_r, kept_m, kept_s)
-            self._sharded[shard_key] = lists
-        return lists
-
+    # -- fan-out hot path -----------------------------------------------
     def fanout_batch(
         self, source: "Radio", tx_power_dbm: float, channel_mhz: float
     ) -> FanoutBatch:
-        """Delivery columns for the batched accumulator-update loop.
-
-        Built from :meth:`sharded_fanout_lists` when the medium's band
-        sharding is on, else from :meth:`fanout_lists`; per-receiver gains
-        come from each radio's own ``_gains_for`` memo, so every float the
-        batched loop multiplies is the exact object the scalar
-        ``Radio._add_signal`` path would read.
-        """
+        """Delivery columns for one ``(source, tx power, channel)``."""
         key = (id(source), tx_power_dbm, channel_mhz)
         batch = self._batches.get(key)
         if batch is None:
-            if self._medium.band_sharding:
-                radios, means, streams = self.sharded_fanout_lists(
-                    source, tx_power_dbm, channel_mhz
-                )
-            else:
-                radios, means, streams = self.fanout_lists(source, tx_power_dbm)
-            from .radio import Radio
-
-            base_start = Radio.on_signal_start
+            radios, means, streams = self.audible(source, tx_power_dbm)
             decode_gains: List[float] = []
             sense_gains: List[float] = []
-            co_channel: List[bool] = []
-            inline: List[bool] = []
+            lockable: List[bool] = []
             for radio in radios:
                 gains = radio._gains_for(channel_mhz)
                 decode_gains.append(gains[0])
                 sense_gains.append(gains[1])
-                offset = channel_mhz - radio.channel_mhz
-                co_channel.append(
-                    (offset if offset >= 0.0 else -offset)
-                    <= radio._co_channel_tolerance_mhz
-                )
-                # Radios overriding on_signal_start (custom lock
-                # semantics) must not take the inlined delivery loop.
-                inline.append(type(radio).on_signal_start is base_start)
-            batch = FanoutBatch(
-                radios,
-                streams,
+                lockable.append(radio._lockable(channel_mhz))
+            batch = self._batches[key] = FanoutBatch(
+                list(radios),
+                list(streams),
                 np.array(means, dtype=np.float64),
                 decode_gains,
                 sense_gains,
-                co_channel,
-                inline,
+                lockable,
             )
-            self._batches[key] = batch
         return batch

@@ -9,27 +9,15 @@ Cancellation is *lazy*: cancelled events stay in the heap but are skipped when
 popped.  This keeps cancellation O(1), which matters because CSMA backoff and
 reception bookkeeping cancel events constantly.  To stop cancelled entries
 from bloating the heap (and taxing every subsequent push/pop with extra
-comparisons), the queue *compacts* itself whenever the dead fraction of a
-non-trivial heap exceeds ``compact_dead_fraction``: live events are filtered
-out and re-heapified, which preserves the total ``(time, priority, seq)``
-order exactly.
+comparisons), the queue *compacts* itself whenever more than
+:attr:`EventQueue.COMPACT_DEAD_FRACTION` of a heap larger than
+:attr:`EventQueue.COMPACT_MIN_SIZE` is dead: live events are filtered out and
+re-heapified, which preserves the total ``(time, priority, seq)`` order
+exactly.
 
-Band shards (DESIGN.md §15)
----------------------------
-For large multi-band scenes the queue can be split into a *lazy k-way
-heap-of-heaps*: :meth:`EventQueue.add_shard` registers an extra sub-heap and
-:meth:`push` accepts a ``shard`` index.  The medium assigns one shard per
-frequency band and routes band-local events (signal ends, CCA/backoff
-timers) into it, keeping the main heap for cross-band and control events.
-
-Sharding never changes dispatch order.  The sequence counter is *global*
-across all heaps, so the ``(time, priority, seq)`` key remains a total
-order over every pending event regardless of which heap holds it; a pop
-selects the minimum across the main head and the k shard heads under
-exactly that order.  What sharding buys is *churn isolation*: each band's
-heavy CSMA cancellation churn lands in its own small heap, so push/pop
-depth and compaction cost scale with the busiest band instead of with the
-whole scene, and one band's dead entries never tax another band's pops.
+One heap serves the whole scene.  Per-band sub-heaps were tried and removed:
+on the 50k-mote and dense benchmark scenes their churn isolation measured
+within run-to-run noise of a single heap (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -39,8 +27,6 @@ import itertools
 from typing import Any, Callable, List, Optional
 
 __all__ = ["Event", "EventQueue"]
-
-_INFINITY = float("inf")
 
 
 class Event:
@@ -56,16 +42,9 @@ class Event:
         Zero-argument callable invoked when the event fires.
     tag:
         Optional label used in traces and error messages.
-    shard:
-        Index of the sub-heap holding the event (``-1``: the main heap).
-        Set by :meth:`EventQueue.push`; cancellation bookkeeping needs to
-        know which heap's dead counter to charge.
     """
 
-    __slots__ = (
-        "time", "priority", "seq", "callback", "tag", "shard",
-        "_cancelled", "_fired",
-    )
+    __slots__ = ("time", "priority", "seq", "callback", "tag", "_cancelled", "_fired")
 
     def __init__(
         self,
@@ -74,14 +53,12 @@ class Event:
         seq: int,
         callback: Callable[[], Any],
         tag: Optional[str] = None,
-        shard: int = -1,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.tag = tag
-        self.shard = shard
         self._cancelled = False
         self._fired = False
 
@@ -110,51 +87,21 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic priority queue of :class:`Event` objects.
+    """Deterministic priority queue of :class:`Event` objects."""
 
-    Parameters
-    ----------
-    compact_min_size:
-        Heaps at or below this size are never compacted (the filter pass
-        is not worth it).  Defaults to :data:`COMPACT_MIN_SIZE`.
-    compact_dead_fraction:
-        Compact a heap when more than this fraction of its entries are
-        cancelled.  The 0.5 default suits ordinary runs; high-churn
-        50k-mote scenes may prefer a smaller fraction (compact eagerly,
-        keep pops shallow) or a larger one (compact rarely, tolerate
-        skips).
-    """
-
-    #: Default for ``compact_min_size`` (kept as a class attribute for
-    #: backwards compatibility with callers that read it directly).
+    #: Heaps at or below this size are never compacted (the filter pass is
+    #: not worth it).
     COMPACT_MIN_SIZE = 64
+    #: Compact when more than this fraction of the heap is cancelled.
+    COMPACT_DEAD_FRACTION = 0.5
 
-    def __init__(
-        self,
-        compact_min_size: Optional[int] = None,
-        compact_dead_fraction: float = 0.5,
-    ) -> None:
-        if compact_min_size is None:
-            compact_min_size = self.COMPACT_MIN_SIZE
-        if compact_min_size < 0:
-            raise ValueError(
-                f"compact_min_size must be >= 0, got {compact_min_size}"
-            )
-        if not 0.0 < compact_dead_fraction <= 1.0:
-            raise ValueError(
-                "compact_dead_fraction must be in (0, 1], "
-                f"got {compact_dead_fraction}"
-            )
-        self.compact_min_size = int(compact_min_size)
-        self.compact_dead_fraction = float(compact_dead_fraction)
+    def __init__(self) -> None:
         self._heap: List[Event] = []
-        self._shards: List[List[Event]] = []
         self._counter = itertools.count()
         self._live = 0
-        #: Cancelled-but-still-heaped entry counts, per heap; drive the
-        #: compaction trigger without O(n) scans.
-        self._dead_main = 0
-        self._shard_dead: List[int] = []
+        #: Cancelled-but-still-heaped entries; drives the compaction
+        #: trigger without O(n) scans.
+        self._dead = 0
         #: Total compaction passes over the queue's lifetime (obs gauge).
         self.compactions = 0
 
@@ -171,23 +118,6 @@ class EventQueue:
         return self._live
 
     # ------------------------------------------------------------------
-    # Shard management
-    # ------------------------------------------------------------------
-    def add_shard(self) -> int:
-        """Register a new sub-heap and return its shard index.
-
-        Shards are created lazily by the medium (one per frequency band
-        in use) and live for the queue's lifetime.
-        """
-        self._shards.append([])
-        self._shard_dead.append(0)
-        return len(self._shards) - 1
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def push(
@@ -196,22 +126,10 @@ class EventQueue:
         callback: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at absolute ``time`` and return its handle.
-
-        ``shard`` selects the sub-heap (``None``: the main heap).  The
-        sequence counter is shared across all heaps, so shard placement
-        never affects dispatch order — only which heap carries the entry.
-        """
-        if shard is None:
-            event = Event(time, priority, next(self._counter), callback, tag)
-            heapq.heappush(self._heap, event)
-        else:
-            event = Event(
-                time, priority, next(self._counter), callback, tag, shard
-            )
-            heapq.heappush(self._shards[shard], event)
+        """Schedule ``callback`` at absolute ``time`` and return its handle."""
+        event = Event(time, priority, next(self._counter), callback, tag)
+        heapq.heappush(self._heap, event)
         self._live += 1
         return event
 
@@ -219,41 +137,29 @@ class EventQueue:
         """Cancel an event previously returned by :meth:`push`.
 
         Cancelling an already-cancelled or already-fired event is a no-op.
-        When the cancelled fraction of the event's heap exceeds
-        ``compact_dead_fraction``, that heap is compacted (dead entries
+        When the cancelled fraction of the heap exceeds
+        :attr:`COMPACT_DEAD_FRACTION`, the heap is compacted (dead entries
         dropped, then re-heapified).
         """
         if event._cancelled or event._fired:
             return
         event._cancelled = True
         self._live -= 1
-        shard = event.shard
-        if shard < 0:
-            heap = self._heap
-            dead = self._dead_main = self._dead_main + 1
-        else:
-            heap = self._shards[shard]
-            dead = self._shard_dead[shard] = self._shard_dead[shard] + 1
-        size = len(heap)
-        if size > self.compact_min_size and dead > size * self.compact_dead_fraction:
-            self._compact(shard)
+        dead = self._dead = self._dead + 1
+        size = len(self._heap)
+        if size > self.COMPACT_MIN_SIZE and dead > size * self.COMPACT_DEAD_FRACTION:
+            self._compact()
 
-    def _compact(self, shard: int = -1) -> None:
-        """Drop cancelled entries from one heap and restore its invariant.
+    def _compact(self) -> None:
+        """Drop cancelled entries and restore the heap invariant.
 
         Ordering is untouched: the heap property is re-established over the
         same total order (``Event.__lt__``), so the pop sequence of live
         events is identical before and after compaction.
         """
-        if shard < 0:
-            self._heap = [event for event in self._heap if not event._cancelled]
-            heapq.heapify(self._heap)
-            self._dead_main = 0
-        else:
-            live = [e for e in self._shards[shard] if not e._cancelled]
-            heapq.heapify(live)
-            self._shards[shard] = live
-            self._shard_dead[shard] = 0
+        self._heap = [event for event in self._heap if not event._cancelled]
+        heapq.heapify(self._heap)
+        self._dead = 0
         self.compactions += 1
 
     # ------------------------------------------------------------------
@@ -267,7 +173,7 @@ class EventQueue:
         IndexError
             If the queue holds no live events.
         """
-        event = self.pop_due(_INFINITY)
+        event = self.pop_due(float("inf"))
         if event is None:
             raise IndexError("pop from empty EventQueue")
         return event
@@ -276,75 +182,36 @@ class EventQueue:
         """Pop the earliest live event at or before ``until``, else ``None``.
 
         Fuses the ``peek_time`` + ``pop`` pair the kernel run loop would
-        otherwise perform.  With shards registered, the head of each
-        sub-heap is compared against the main head under the global
-        ``(time, priority, seq)`` order, so the dispatch sequence is
-        byte-identical to a single-heap queue holding the same events.
+        otherwise perform.
         """
         heap = self._heap
         while heap:
             head = heap[0]
             if head._cancelled:
                 heapq.heappop(heap)
-                self._dead_main -= 1
+                self._dead -= 1
                 continue
-            break
-        if not self._shards:
-            # Fast path: no shards registered (the common small-scene
-            # case) — identical to the single-heap queue.
-            if not heap:
-                return None
-            head = heap[0]
             if head.time > until:
                 return None
             heapq.heappop(heap)
             head._fired = True
             self._live -= 1
             return head
-        best = heap[0] if heap else None
-        shards = self._shards
-        shard_dead = self._shard_dead
-        for i, sub in enumerate(shards):
-            while sub:
-                head = sub[0]
-                if head._cancelled:
-                    heapq.heappop(sub)
-                    shard_dead[i] -= 1
-                    continue
-                if best is None or head < best:
-                    best = head
-                break
-        if best is None or best.time > until:
-            return None
-        shard = best.shard
-        if shard < 0:
-            heapq.heappop(heap)
-        else:
-            heapq.heappop(shards[shard])
-        best._fired = True
-        self._live -= 1
-        return best
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if empty."""
         heap = self._heap
         while heap and heap[0]._cancelled:
             heapq.heappop(heap)
-            self._dead_main -= 1
-        best = heap[0] if heap else None
-        for i, sub in enumerate(self._shards):
-            while sub and sub[0]._cancelled:
-                heapq.heappop(sub)
-                self._shard_dead[i] -= 1
-            if sub and (best is None or sub[0] < best):
-                best = sub[0]
-        return best.time if best is not None else None
+            self._dead -= 1
+        return heap[0].time if heap else None
 
     # ------------------------------------------------------------------
     # Audit / maintenance
     # ------------------------------------------------------------------
     def scan_live(self) -> int:
-        """Count live events by a full scan over every heap (O(n)).
+        """Count live events by a full scan of the heap (O(n)).
 
         Audit hook for the invariant layer
         (:mod:`repro.check.invariants`): the lazily-maintained
@@ -353,16 +220,10 @@ class EventQueue:
         truncate or overrun a simulation.  ``scan_live`` recomputes the
         ground truth so the checker can compare.
         """
-        count = sum(1 for event in self._heap if not event._cancelled)
-        for sub in self._shards:
-            count += sum(1 for event in sub if not event._cancelled)
-        return count
+        return sum(1 for event in self._heap if not event._cancelled)
 
     def clear(self) -> None:
-        """Drop every pending event (shard registrations are kept)."""
+        """Drop every pending event."""
         self._heap.clear()
-        for sub in self._shards:
-            sub.clear()
-        self._dead_main = 0
-        self._shard_dead = [0] * len(self._shards)
+        self._dead = 0
         self._live = 0

@@ -64,25 +64,44 @@ class Simulator:
         attribute under the same ``is None`` discipline as ``checks``;
         passing a recorder binds it to this simulator (scheduling its
         periodic gauge sampler, when one is configured).
-    queue:
-        Optional pre-built :class:`~repro.sim.events.EventQueue`, for
-        callers that need non-default compaction tuning
-        (``EventQueue(compact_min_size=..., compact_dead_fraction=...)``).
-        The default queue uses the standard thresholds.
+
+    Check-session integration
+    -------------------------
+    A simulator built while a :class:`~repro.check.runtime.CheckSession`
+    is active joins it: it gets an enabled trace (when the caller supplied
+    none and the session captures traces), registers that trace with the
+    session, and arms the session's checker when ``checks`` is ``None``.
+    Every simulated world therefore honours the session, however the
+    exhibit builds it.  The medium picks up the session's reference flag
+    the same way (:class:`~repro.phy.medium.Medium`).
     """
 
     def __init__(
         self, trace: Optional[Trace] = None, checks: Any = None,
-        obs: Any = None, queue: Optional[EventQueue] = None,
+        obs: Any = None,
     ) -> None:
+        from ..check.runtime import active_session
+
         #: Current simulation time in seconds.  A plain attribute rather
         #: than a property: it is read on every event dispatch and inside
         #: every PHY/MAC hot path, where descriptor overhead is measurable.
         #: Only the kernel writes it.
         self.now = 0.0
-        self._queue = queue if queue is not None else EventQueue()
+        self._queue = EventQueue()
         self._running = False
-        self.trace = trace if trace is not None else Trace(enabled=False)
+        session = active_session()
+        if session is not None:
+            if session.capture_traces:
+                if trace is None:
+                    trace = Trace(enabled=True)
+                session.attach_trace(trace)
+            if checks is None:
+                checks = session.checker
+        if trace is None:
+            trace = Trace(enabled=False)
+        else:
+            trace.bind_clock(lambda: self.now)
+        self.trace = trace
         self.checks = _resolve_checks(checks)
         self.obs = obs
         if obs is not None:
@@ -97,18 +116,11 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now.
-
-        ``shard`` routes the event into a band sub-heap previously
-        registered via :meth:`add_event_shard` (``None``: the main heap).
-        Shard placement never affects dispatch order — see
-        :class:`~repro.sim.events.EventQueue`.
-        """
+        """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self._queue.push(self.now + delay, callback, priority, tag, shard)
+        return self._queue.push(self.now + delay, callback, priority, tag)
 
     def schedule_at(
         self,
@@ -116,18 +128,13 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} s; clock already at {self.now} s"
             )
-        return self._queue.push(time, callback, priority, tag, shard)
-
-    def add_event_shard(self) -> int:
-        """Register a band sub-heap on the event queue; returns its index."""
-        return self._queue.add_shard()
+        return self._queue.push(time, callback, priority, tag)
 
     @property
     def event_queue(self) -> EventQueue:

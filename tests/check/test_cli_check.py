@@ -29,12 +29,3 @@ def test_check_determinism_cli_on_fast_exhibit(capsys):
                  "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out
-
-
-@pytest.mark.slow
-def test_check_diff_cli_band_sharding(capsys):
-    """The --band-sharding flag gates the sharded fast leg against the
-    plain scalar reference leg."""
-    assert main(["check", "diff", "fig29", "--fast", "--band-sharding"]) == 0
-    out = capsys.readouterr().out
-    assert "trace-identical" in out

@@ -105,6 +105,30 @@ def test_diff_exhibit_fast_vs_reference_identical():
     assert "trace-identical" in text
 
 
+@pytest.mark.slow
+def test_diff_fig02_compares_directly_built_dot11_worlds(monkeypatch):
+    """fig02 builds its two-link rigs without a Deployment; both legs
+    must still capture traces, and the reference leg must really run the
+    reference path (Dot11Radio delivery is compared, not skipped)."""
+    from repro.check.runtime import active_session
+    from repro.phy.medium import Medium
+
+    legs = []
+    original = Medium.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        legs.append((active_session().reference, self.reference))
+
+    monkeypatch.setattr(Medium, "__init__", recording_init)
+    report = diff_exhibit("fig02", seed=1, fast=True)
+    assert report.ok, report.describe()
+    assert report.deployments > 0
+    assert report.records_compared > 0
+    assert {session for session, _ in legs} == {False, True}
+    assert all(session == medium for session, medium in legs)
+
+
 def test_unknown_exhibit_raises_key_error():
     with pytest.raises(KeyError):
         diff_exhibit("nope")

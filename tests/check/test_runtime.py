@@ -1,4 +1,4 @@
-"""CheckSession plumbing: ambient activation and Deployment wiring."""
+"""CheckSession plumbing: ambient activation and kernel wiring."""
 
 import pytest
 
@@ -6,8 +6,11 @@ from repro.check.invariants import InvariantChecker
 from repro.check.runtime import CheckSession, active_session
 from repro.net.deployment import Deployment
 from repro.net.topology import fixed_power, one_region_topology
+from repro.phy.medium import Medium
+from repro.phy.propagation import FixedRssMatrix
 from repro.phy.spectrum import EVALUATION_BAND, ChannelPlan
 from repro.sim.rng import RngStreams
+from repro.sim.simulator import Simulator
 
 
 def make_specs(seed=1, cfd=5.0):
@@ -45,8 +48,8 @@ def test_deployment_outside_session_untouched():
     deployment = Deployment(make_specs(), seed=1)
     assert deployment.sim.trace.enabled is False  # default disabled trace
     assert deployment.sim.checks is None
-    assert deployment.medium.reference_accumulators is False
-    assert deployment.medium._gain_cache is not None
+    assert deployment.medium.reference is False
+    assert deployment.medium._link_cache is not None
 
 
 def test_deployment_inside_session_captures_trace():
@@ -61,12 +64,13 @@ def test_deployment_inside_session_captures_trace():
 def test_reference_session_switches_medium_paths():
     with CheckSession(reference=True) as session:
         deployment = Deployment(make_specs(), seed=1)
-    assert deployment.medium.reference_accumulators is True
-    assert deployment.medium._gain_cache is None  # link cache disabled
+    assert deployment.medium.reference is True
+    assert deployment.medium._link_cache is None  # brute-force fan-out
+    assert all(node.radio._reference for node in deployment.nodes.values())
     with CheckSession(reference=False):
         fast = Deployment(make_specs(), seed=1)
-    assert fast.medium.reference_accumulators is False
-    assert fast.medium._gain_cache is not None
+    assert fast.medium.reference is False
+    assert fast.medium._link_cache is not None
 
 
 def test_session_checker_armed_on_simulator():
@@ -76,13 +80,25 @@ def test_session_checker_armed_on_simulator():
     assert deployment.sim.checks is checker
 
 
-def test_explicit_link_cache_wins_over_session():
+def test_explicit_reference_wins_over_session():
     with CheckSession(reference=True):
-        deployment = Deployment(make_specs(), seed=1, link_cache=True)
-    # The caller's explicit choice beats the session's reference flag
-    # for the fan-out path; the accumulators still follow the session.
-    assert deployment.medium._gain_cache is not None
-    assert deployment.medium.reference_accumulators is True
+        sim = Simulator()
+        medium = Medium(sim, FixedRssMatrix(), reference=False)
+    assert medium.reference is False
+    assert medium._link_cache is not None
+
+
+def test_directly_built_world_joins_session():
+    """Worlds built without a Deployment (e.g. the 802.11b two-link rig)
+    honour the session too: trace capture, checker and reference path."""
+    checker = InvariantChecker()
+    with CheckSession(reference=True, checker=checker) as session:
+        sim = Simulator()
+        medium = Medium(sim, FixedRssMatrix())
+    assert session.traces == [sim.trace]
+    assert sim.trace.enabled
+    assert sim.checks is checker
+    assert medium.reference is True
 
 
 def test_capture_traces_false_leaves_trace_alone():

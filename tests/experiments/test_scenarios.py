@@ -121,7 +121,7 @@ def test_large_scene_builds_and_runs():
     assert len(deployment.networks) == 16
     # One saturated link per network by default; everyone else idle.
     assert all(len(net.spec.links) == 1 for net in deployment.networks)
-    assert deployment.medium.vectorized
+    assert not deployment.medium.reference
     deployment.start_traffic()
     deployment.sim.run(0.005)
     sent = sum(n.mac.stats.sent for n in deployment.nodes.values())
@@ -144,26 +144,24 @@ def test_large_scene_deterministic_for_same_seed():
     assert outcome(5) != outcome(6)
 
 
-def test_large_scene_trace_identical_across_scheduler_sharding():
+def test_large_scene_trace_identical_on_reference_path():
     """mini_run determinism: a fixed-seed scene renders byte-identical
-    traces whether the band-sharded scheduler is on or off."""
+    traces on the fast path and on the brute-force reference path."""
     from repro.check.runtime import CheckSession
     from repro.experiments.scenarios import large_scene
     from repro.phy.frame import reset_frame_ids
 
-    def traced(sharded_scheduler):
+    def traced(reference):
         reset_frame_ids()  # frame ids are process-global correlation tags
-        with CheckSession(capture_traces=True) as session:
-            deployment = large_scene(
-                200, seed=3, area_m2_per_mote=400.0,
-                sharded_scheduler=sharded_scheduler,
-            )
+        with CheckSession(reference=reference) as session:
+            deployment = large_scene(200, seed=3, area_m2_per_mote=400.0)
             deployment.start_traffic()
             deployment.sim.run(0.01)
+        assert deployment.medium.reference is reference
         assert session.traces
         return [str(r) for t in session.traces for r in t.records]
 
-    sharded = traced(True)
-    plain = traced(False)
-    assert sharded  # the scene actually produced records
-    assert sharded == plain
+    fast = traced(False)
+    reference = traced(True)
+    assert fast  # the scene actually produced records
+    assert fast == reference

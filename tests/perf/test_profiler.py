@@ -170,3 +170,17 @@ def test_cli_perf_bench_only_with_compare(tmp_path, capsys):
     assert "per-bench deltas" in printed
     assert "event_queue" in printed
     assert "%" in printed
+
+
+def test_cli_perf_bench_only_without_out_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """A subset run must never truncate the committed baseline: without
+    --out nothing is written, BENCH_kernel.json included."""
+    monkeypatch.chdir(tmp_path)
+    baseline = tmp_path / "BENCH_kernel.json"
+    baseline.write_text('{"committed": true}\n')
+    assert main(["perf", "bench", "--only", "event_queue"]) == 0
+    assert baseline.read_text() == '{"committed": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_kernel.json"]
+    assert "wrote" not in capsys.readouterr().out

@@ -2,10 +2,10 @@
 
 Three properties are load-bearing and verified here:
 
-1. **Culling exactness** — running the same scenario with the
-   :class:`~repro.phy.medium.LinkGainCache` enabled and disabled
-   (``link_cache=False`` brute-force reference path) produces identical
-   observable outcomes, bit for bit.
+1. **Culling exactness** — running the same scenario on the fast path
+   (:class:`~repro.phy.vectorized.VectorizedLinkCache` audible sets) and
+   on the brute-force reference path (``Medium(reference=True)``)
+   produces identical observable outcomes, bit for bit.
 2. **Accumulator exactness** — the incremental in-channel power sums agree
    with the pre-optimisation brute-force re-summation (kept in
    :mod:`repro.perf.bench`) to within 1e-12 relative, over arbitrary
@@ -36,9 +36,9 @@ from repro.sim.simulator import Simulator
 
 
 # ----------------------------------------------------------------------
-# 1. Culling exactness: link_cache=True vs the brute-force reference path
+# 1. Culling exactness: the fast path vs the brute-force reference path
 # ----------------------------------------------------------------------
-def _run_scenario(link_cache: bool, seed: int = 7, register_order=None):
+def _run_scenario(reference: bool, seed: int = 7, register_order=None):
     """A mixed-audibility scenario; returns every observable outcome.
 
     Two transmitters alternate frames towards a population of receivers:
@@ -72,7 +72,7 @@ def _run_scenario(link_cache: bool, seed: int = 7, register_order=None):
         fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
         rng=rng,
         delivery_floor_dbm=-115.0,
-        link_cache=link_cache,
+        reference=reference,
     )
     radios = {}
     order = register_order or list(positions)
@@ -119,17 +119,17 @@ def _run_scenario(link_cache: bool, seed: int = 7, register_order=None):
 
 
 def test_culling_matches_brute_force_reference_exactly():
-    cached = _run_scenario(link_cache=True)
-    brute = _run_scenario(link_cache=False)
+    cached = _run_scenario(reference=False)
+    brute = _run_scenario(reference=True)
     assert cached == brute  # identical tuples, float-exact RSSIs included
 
 
 def test_results_independent_of_registration_order():
     """Per-link fading streams key on radio *names*, so shuffling the
     registration order must not move any link's draw sequence."""
-    base = _run_scenario(link_cache=True)
+    base = _run_scenario(reference=False)
     shuffled = _run_scenario(
-        link_cache=True,
+        reference=False,
         register_order=["far", "edge", "near", "tx2", "tx1"],
     )
     assert base == shuffled
@@ -137,11 +137,11 @@ def test_results_independent_of_registration_order():
 
 def test_culling_exact_with_different_seeds():
     for seed in (1, 2, 3):
-        assert _run_scenario(True, seed=seed) == _run_scenario(False, seed=seed)
+        assert _run_scenario(False, seed=seed) == _run_scenario(True, seed=seed)
 
 
 # ----------------------------------------------------------------------
-# LinkGainCache unit behaviour
+# Link cache unit behaviour
 # ----------------------------------------------------------------------
 def _cache_rig(fading=None, floor=-115.0):
     sim = Simulator()
@@ -163,9 +163,9 @@ def test_audible_set_culls_unreachable_receivers():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     near = Radio(sim, medium, "near", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [near]
-    assert entries[0][1] == pytest.approx(-50.0)
+    radios, means, _ = medium._link_cache.audible(tx, 0.0)
+    assert radios == [near]
+    assert means[0] == pytest.approx(-50.0)
 
 
 def test_audible_set_respects_fading_headroom():
@@ -178,8 +178,8 @@ def test_audible_set_respects_fading_headroom():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     edge = Radio(sim, medium, "edge", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [edge]
+    radios, _, _ = medium._link_cache.audible(tx, 0.0)
+    assert radios == [edge]
 
 
 def test_unbounded_fading_disables_culling():
@@ -192,8 +192,8 @@ def test_unbounded_fading_disables_culling():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     far = Radio(sim, medium, "far", (1, 0), 2460.0, 0.0)
     assert math.isinf(medium.fading.max_gain_db())
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [far]
+    radios, _, _ = medium._link_cache.audible(tx, 0.0)
+    assert radios == [far]
 
 
 def test_audible_set_is_cached_and_register_updates_in_place():
@@ -201,18 +201,19 @@ def test_audible_set_is_cached_and_register_updates_in_place():
     matrix.set_loss((0, 0), (1, 0), 50.0)
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    first = medium._gain_cache.audible_entries(tx, 0.0)
-    assert medium._gain_cache.audible_entries(tx, 0.0) is first  # memoised
+    first = medium._link_cache.audible(tx, 0.0)
+    assert medium._link_cache.audible(tx, 0.0) is first  # memoised
     matrix.set_loss((0, 0), (2, 0), 55.0)
     late = Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
     # Registration is a per-radio incremental update, not a full
     # invalidation: the cached list object survives and the newcomer is
     # appended at the end (where a rebuild would have placed it), with
     # the exact scalar-model mean RSS.
-    updated = medium._gain_cache.audible_entries(tx, 0.0)
+    updated = medium._link_cache.audible(tx, 0.0)
     assert updated is first
-    assert [entry[0] for entry in updated][-1] is late
-    assert updated[-1][1] == -55.0
+    radios, means, _ = updated
+    assert radios[-1] is late
+    assert means[-1] == -55.0
 
 
 def test_register_updates_match_full_rebuild_bitwise():
@@ -222,15 +223,14 @@ def test_register_updates_match_full_rebuild_bitwise():
     matrix.set_loss((0, 0), (3, 0), 300.0)  # inaudible: must not be added
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    medium._gain_cache.audible_entries(tx, 0.0)  # warm the cache
+    medium._link_cache.audible(tx, 0.0)  # warm the cache
     Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (3, 0), 2460.0, 0.0)
-    incremental = medium._gain_cache.audible_entries(tx, 0.0)
+    incremental = medium._link_cache.audible(tx, 0.0)
     medium.invalidate_link_cache()
-    rebuilt = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [(e[0], e[1]) for e in incremental] == [
-        (e[0], e[1]) for e in rebuilt
-    ]
+    rebuilt = medium._link_cache.audible(tx, 0.0)
+    assert incremental is not rebuilt
+    assert incremental[:2] == rebuilt[:2]  # receivers and mean RSS
 
 
 def test_late_registered_radio_hears_subsequent_transmissions():
@@ -271,11 +271,11 @@ def test_invalidate_link_cache_after_position_change():
     matrix.set_loss((0, 0), (5, 0), 50.0)
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     rx = Radio(sim, medium, "rx", (1, 0), 2460.0, 0.0)
-    assert medium._gain_cache.audible_entries(tx, 0.0) == []
+    assert medium._link_cache.audible(tx, 0.0)[0] == []
     rx.position = (5, 0)
     medium.invalidate_link_cache()
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [rx]
+    radios, _, _ = medium._link_cache.audible(tx, 0.0)
+    assert radios == [rx]
 
 
 def test_buffered_fading_draws_match_scalar_normal_calls():
@@ -300,6 +300,11 @@ def _bare_radio():
     rng = RngStreams(1)
     medium = Medium(sim, FixedRssMatrix(default_loss_db=50.0), rng=rng)
     return Radio(sim, medium, "rx", (0, 0), 2460.0, 0.0, rng=rng)
+
+
+def _start(rx, signal):
+    """Signal bookkeeping alone: the radio's own gains, no lock attempt."""
+    rx.start_signal(signal, *rx._gains_for(signal.channel_mhz), False)
 
 
 def _make_signal(rx, channel_mhz, rx_power_dbm):
@@ -354,7 +359,7 @@ def test_incremental_accumulator_matches_brute_force(spec, data):
     live = []
     for offset, power in spec:
         signal = _make_signal(rx, 2460.0 + offset, power)
-        rx._add_signal(signal)
+        _start(rx, signal)
         live.append(signal)
         _assert_accumulators_exact(rx)
     while live:
@@ -374,7 +379,7 @@ def test_removal_rebuild_is_bitwise_equal_to_brute_force():
         _make_signal(rx, 2460.0 + (i % 5), -40.0 - 7.3 * i) for i in range(12)
     ]
     for signal in signals:
-        rx._add_signal(signal)
+        _start(rx, signal)
     for signal in signals[::2]:
         rx._remove_signal(signal)
         assert rx._noise_mw + rx._sense_sum_mw == brute_force_sensed_power_mw(rx)

@@ -9,18 +9,19 @@ Three layers of guarantees, in decreasing strictness:
    SIMD transcendentals that may differ from libm by a few ulp; the
    contract is "within ``PRESELECT_GUARD_DB``" (it is only ever used to
    *preselect*, never to commit a value).
-3. **Identical traces** — whole-scene runs through the vectorized medium
-   (and, on spectrally separated scenes, the band-sharded medium) must
-   deliver exactly the same frames with the same float-exact outcomes as
-   the scalar kernels.
+3. **Identical traces** — whole-scene runs through the medium's fast path
+   must produce exactly the same trace and deliver the same frames with
+   the same float-exact outcomes as the reference path, including
+   fan-outs that mix 802.15.4 and 802.11b receivers.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dot11.phy11b import Dot11Radio
 from repro.phy.fading import LogNormalFading, NoFading
-from repro.phy.frame import Frame
+from repro.phy.frame import Frame, reset_frame_ids
 from repro.phy.mask import PiecewiseLinearMask
 from repro.phy.medium import Medium
 from repro.phy.propagation import (
@@ -29,9 +30,10 @@ from repro.phy.propagation import (
     LogDistancePathLoss,
 )
 from repro.phy.radio import Radio
-from repro.phy.vectorized import PRESELECT_GUARD_DB, VectorizedLinkCache
+from repro.phy.vectorized import PRESELECT_GUARD_DB
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
+from repro.sim.trace import Trace
 
 finite = st.floats(
     min_value=-500.0, max_value=500.0, allow_nan=False, allow_infinity=False
@@ -147,22 +149,20 @@ def test_no_fading_sample_db_many_is_zeros():
 
 
 # ----------------------------------------------------------------------
-# 4. Whole-scene trace identity: vectorized vs scalar cache
+# 4. Whole-scene trace identity: fast path vs reference path
 # ----------------------------------------------------------------------
-def _delivery_run(
-    seed,
-    *,
-    vectorized,
-    band_sharding=False,
-    cross_band=False,
-    sharded_scheduler=None,
-):
-    """Two co-channel transmit chains plus receivers; with ``cross_band``
-    a second network sits 75 MHz away, pre-mask audible (so signals *are*
-    delivered across bands without sharding) but sub-floor post-mask (so
-    sharding drops the cross links).  Returns every delivered frame as a
-    float-exact outcome tuple."""
-    sim = Simulator()
+RADIO_NAMES = ("a_tx", "a_rx1", "a_rx2", "b_tx", "b_rx")
+
+
+def _delivery_run(seed, *, reference, b_offset_mhz=0.0, dot11=frozenset()):
+    """Two transmit chains plus receivers; network b sits ``b_offset_mhz``
+    above network a (75 MHz: pre-mask audible but sub-floor post-mask).
+    Radios named in ``dot11`` are false-locking 802.11b receivers, so one
+    fan-out mixes both lock rules.  Returns the full trace plus every
+    delivered frame as a float-exact outcome tuple."""
+    reset_frame_ids()
+    trace = Trace()
+    sim = Simulator(trace=trace)
     rng = RngStreams(seed)
     matrix = FixedRssMatrix(default_loss_db=200.0)
     positions = {
@@ -173,11 +173,9 @@ def _delivery_run(
         "b_rx": (11.0, 0.0),
     }
     channels = {name: 2405.0 for name in positions}
-    if cross_band:
-        channels["b_tx"] = channels["b_rx"] = 2480.0
+    channels["b_tx"] = channels["b_rx"] = 2405.0 + b_offset_mhz
     # Strong in-network links (high SINR, BER 0); cross-network mean RSS
-    # -80 dBm: audible pre-mask (floor -115, clip 12) yet dropped by the
-    # shard condition (-80 + 12 - 60 dB mask < -115).
+    # -80 dBm: audible pre-mask (floor -115, clip 12).
     for tx in ("a_tx", "b_tx"):
         for rx in positions:
             if rx == tx:
@@ -192,13 +190,12 @@ def _delivery_run(
         fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
         rng=rng,
         delivery_floor_dbm=-115.0,
-        link_cache=True,
-        vectorized=vectorized,
-        band_sharding=band_sharding,
-        sharded_scheduler=sharded_scheduler,
+        reference=reference,
     )
     radios = {
-        name: Radio(sim, medium, name, positions[name], channels[name], 0.0, rng=rng)
+        name: (Dot11Radio if name in dot11 else Radio)(
+            sim, medium, name, positions[name], channels[name], 0.0, rng=rng
+        )
         for name in positions
     }
     events = []
@@ -216,170 +213,96 @@ def _delivery_run(
             )
         radios[name].add_frame_listener(listener)
 
-    def chain(radio, remaining):
+    def chain(radio, remaining, gap_s):
         if remaining == 0:
             return
         frame = Frame(radio.name, None, 40)
         radio.transmit(
             frame,
-            lambda t: sim.schedule(1e-4, lambda: chain(radio, remaining - 1)),
+            lambda t: sim.schedule(
+                gap_s, lambda: chain(radio, remaining - 1, gap_s)
+            ),
         )
 
-    sim.schedule(0.0, lambda: chain(radios["a_tx"], 10))
-    sim.schedule(1.7e-3, lambda: chain(radios["b_tx"], 10))
+    # Different gaps make the two chains drift against each other, so
+    # frames of one network also start while the other's receivers idle.
+    sim.schedule(0.0, lambda: chain(radios["a_tx"], 10, 1e-4))
+    sim.schedule(1.7e-3, lambda: chain(radios["b_tx"], 10, 7e-4))
     sim.run_until_idle()
     assert any(name == "a_rx1" for name, *_ in events)
-    assert any(name == "b_rx" for name, *_ in events)
-    return events
+    records = [str(record) for record in trace.records]
+    return records, events
+
+
+def _assert_fast_matches_reference(seed, b_offset_mhz):
+    fast = _delivery_run(seed, reference=False, b_offset_mhz=b_offset_mhz)
+    reference = _delivery_run(seed, reference=True, b_offset_mhz=b_offset_mhz)
+    assert fast == reference
+    return fast
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_vectorized_cache_trace_identical_to_scalar_cache(seed):
-    assert _delivery_run(seed, vectorized=True) == _delivery_run(
-        seed, vectorized=False
-    )
-
-
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=8, deadline=None)
-def test_band_sharding_trace_identical_on_separated_bands(seed):
-    """Cross-shard leakage below the delivery floor ⇒ identical traces.
-
-    The cross-band links *are* audible pre-mask (signals cross without
-    sharding, perturbing only sub-floor accumulator bits), and every
-    in-network link runs at BER-0 SINR, so dropping them cannot change
-    any delivered outcome."""
-    sharded = _delivery_run(
-        seed, vectorized=True, band_sharding=True, cross_band=True
-    )
-    plain = _delivery_run(
-        seed, vectorized=True, band_sharding=False, cross_band=True
-    )
-    assert sharded == plain
-
-
-# ----------------------------------------------------------------------
-# 5. Shard-condition unit properties
-# ----------------------------------------------------------------------
-def _shard_rig(cross_band):
-    sim = Simulator()
-    rng = RngStreams(3)
-    matrix = FixedRssMatrix(default_loss_db=80.0)
-    medium = Medium(
-        sim,
-        matrix,
-        fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
-        rng=rng,
-        delivery_floor_dbm=-115.0,
-        band_sharding=True,
-    )
-    tx = Radio(sim, medium, "tx", (0.0, 0.0), 2405.0, 0.0, rng=rng)
-    peers = [
-        Radio(
-            sim,
-            medium,
-            f"rx{i}",
-            (float(i + 1), 0.0),
-            2480.0 if cross_band else 2405.0,
-            0.0,
-            rng=rng,
-        )
-        for i in range(4)
-    ]
-    return medium, tx, peers
-
-
-def test_sharding_never_drops_co_channel_links():
-    medium, tx, peers = _shard_rig(cross_band=False)
-    cache = medium._vec_cache
-    assert isinstance(cache, VectorizedLinkCache)
-    radios, _, _ = cache.sharded_fanout_lists(tx, 0.0, tx.channel_mhz)
-    assert set(radios) == set(peers)  # zero leakage: all kept
-
-
-def test_sharding_drops_sub_floor_cross_band_links():
-    medium, tx, peers = _shard_rig(cross_band=True)
-    cache = medium._vec_cache
-    full, _, _ = cache.fanout_lists(tx, 0.0)
-    assert set(full) == set(peers)  # audible pre-mask (-80 + 12 >= -115)
-    sharded, _, _ = cache.sharded_fanout_lists(tx, 0.0, tx.channel_mhz)
-    assert sharded == []  # -80 + 12 - 60 < -115: the whole band drops
-
-
-def test_band_sharding_requires_vectorized():
-    import pytest
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Medium(
-            sim,
-            FixedRssMatrix(),
-            rng=RngStreams(1),
-            vectorized=False,
-            band_sharding=True,
-        )
-
-
-# ----------------------------------------------------------------------
-# 6. Sharded scheduler + batched receiver accumulators (DESIGN.md §15)
-# ----------------------------------------------------------------------
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=8, deadline=None)
-def test_sharded_scheduler_trace_identical_to_unsharded(seed):
-    """Scheduler sharding + the batched delivery loop vs the PR-6
-    vectorized path with a single heap: bit-identical outcomes."""
-    sharded = _delivery_run(seed, vectorized=True, sharded_scheduler=True)
-    plain = _delivery_run(seed, vectorized=True, sharded_scheduler=False)
-    assert sharded == plain
+    """Co-channel scene: the vectorized link cache's batched fan-out must
+    reproduce the reference path's per-radio scan exactly."""
+    _assert_fast_matches_reference(seed, 0.0)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_sharded_scheduler_trace_identical_to_scalar_reference(seed):
-    """The full fast stack (sharded scheduler, batched accumulators,
-    vectorized cache) against the brute-force scalar kernels."""
-    fast = _delivery_run(seed, vectorized=True, sharded_scheduler=True)
-    reference = _delivery_run(seed, vectorized=False)
+    """Adjacent-channel scene (3 MHz, partial mask leakage): the whole fast
+    stack (culled batched fan-out, precomputed gains, incremental
+    accumulators, single event heap) against the brute-force reference."""
+    _assert_fast_matches_reference(seed, 3.0)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=8, deadline=None)
+def test_band_sharding_trace_identical_on_separated_bands(seed):
+    """Separated bands (75 MHz): cross-band links are audible pre-mask but
+    sub-floor post-mask; the fast path keeps them exactly as the reference
+    path does, and both networks still deliver."""
+    _, events = _assert_fast_matches_reference(seed, 75.0)
+    assert any(name == "b_rx" for name, *_ in events)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    b_offset_mhz=st.sampled_from([0.0, 5.0, 10.0]),
+    dot11=st.sets(st.sampled_from(RADIO_NAMES), min_size=1),
+)
+@settings(max_examples=12, deadline=None)
+def test_mixed_radio_fanout_trace_identical_to_reference(
+    seed, b_offset_mhz, dot11
+):
+    """Fan-outs that mix 802.15.4 and false-locking 802.11b receivers: each
+    receiver's own lock rule must apply on the fast path exactly as on the
+    reference path."""
+    fast = _delivery_run(
+        seed, reference=False, b_offset_mhz=b_offset_mhz, dot11=dot11
+    )
+    reference = _delivery_run(
+        seed, reference=True, b_offset_mhz=b_offset_mhz, dot11=dot11
+    )
     assert fast == reference
 
 
-def test_sharded_scheduler_requires_vectorized():
-    import pytest
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Medium(
-            sim,
-            FixedRssMatrix(),
-            rng=RngStreams(1),
-            vectorized=False,
-            sharded_scheduler=True,
-        )
-
-
-def test_sharded_scheduler_registers_band_shards():
+def test_fanout_batch_carries_each_receivers_lock_rule():
     sim = Simulator()
     rng = RngStreams(5)
-    medium = Medium(
-        sim,
-        FixedRssMatrix(default_loss_db=60.0),
-        rng=rng,
-        vectorized=True,
-        sharded_scheduler=True,
-    )
-    radios = [
-        Radio(sim, medium, f"n{i}", (float(i), 0.0),
-              2405.0 + 5.0 * (i % 3), 0.0, rng=rng)
-        for i in range(6)
+    medium = Medium(sim, FixedRssMatrix(default_loss_db=60.0), rng=rng)
+    tx = Radio(sim, medium, "tx", (0.0, 0.0), 2405.0, 0.0, rng=rng)
+    co = Radio(sim, medium, "co", (1.0, 0.0), 2405.0, 0.0, rng=rng)
+    off = Radio(sim, medium, "off", (2.0, 0.0), 2410.0, 0.0, rng=rng)
+    wifi = Dot11Radio(sim, medium, "wifi", (3.0, 0.0), 2410.0, 0.0, rng=rng)
+    batch = medium._link_cache.fanout_batch(tx, 0.0, 2405.0)
+    assert batch.radios == [co, off, wifi]
+    assert batch.lockable == [True, False, True]
+    assert batch.decode_gains == [
+        radio._gains_for(2405.0)[0] for radio in (co, off, wifi)
     ]
-    # One shard per distinct band, shared by that band's radios.
-    assert sim.event_queue.num_shards == 3
-    by_band = {}
-    for radio in radios:
-        by_band.setdefault(radio.channel_mhz, set()).add(radio.event_shard)
-    assert all(len(s) == 1 for s in by_band.values())
-    assert len({next(iter(s)) for s in by_band.values()}) == 3
 
 
 def test_fading_buffer_growth_is_bit_identical_across_paths():

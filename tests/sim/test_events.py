@@ -187,100 +187,12 @@ def test_cancellation_never_loses_live_events(entries):
 
 
 # ----------------------------------------------------------------------
-# Band shards (DESIGN.md §15)
-# ----------------------------------------------------------------------
-def test_shard_pop_order_matches_single_heap():
-    plain = EventQueue()
-    sharded = EventQueue()
-    shards = [sharded.add_shard() for _ in range(3)]
-    entries = [(0.5, 0), (0.5, 0), (0.1, 1), (0.9, 0), (0.1, 0), (0.5, 2)]
-    for index, (t, prio) in enumerate(entries):
-        plain.push(t, lambda: None, priority=prio, tag=index)
-        shard = shards[index % len(shards)] if index % 2 else None
-        sharded.push(t, lambda: None, priority=prio, tag=index, shard=shard)
-    order_plain = [plain.pop().tag for _ in range(len(entries))]
-    order_sharded = [sharded.pop().tag for _ in range(len(entries))]
-    assert order_sharded == order_plain
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0),
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=-1, max_value=3),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=150,
-    )
-)
-def test_shard_assignment_never_changes_dispatch_order(entries):
-    """Property: any shard assignment pops the exact single-heap sequence.
-
-    The sequence counter is global, so ``(time, priority, seq)`` is a
-    total order independent of heap placement; cancellation of the same
-    subset must also behave identically.
-    """
-    plain = EventQueue()
-    sharded = EventQueue(compact_min_size=4)  # compact aggressively too
-    shards = [sharded.add_shard() for _ in range(4)]
-    plain_events, sharded_events = [], []
-    for index, (t, prio, shard_pick, _cancel) in enumerate(entries):
-        plain_events.append(plain.push(t, lambda: None, priority=prio, tag=index))
-        shard = None if shard_pick < 0 else shards[shard_pick]
-        sharded_events.append(
-            sharded.push(t, lambda: None, priority=prio, tag=index, shard=shard)
-        )
-    for (_, _, _, cancel), pe, se in zip(entries, plain_events, sharded_events):
-        if cancel:
-            plain.cancel(pe)
-            sharded.cancel(se)
-    assert len(sharded) == len(plain)
-    order_plain = [plain.pop().tag for _ in range(len(plain))]
-    order_sharded = [sharded.pop().tag for _ in range(len(sharded))]
-    assert order_sharded == order_plain
-    assert not sharded and not plain
-
-
-def test_peek_time_sees_earliest_shard_head():
-    queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(5.0, lambda: None)
-    queue.push(1.0, lambda: None, shard=shard)
-    assert queue.peek_time() == 1.0
-    assert queue.pop().time == 1.0
-    assert queue.peek_time() == 5.0
-
-
-def test_pop_due_honours_horizon_across_shards():
-    queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(2.0, lambda: None, tag="main")
-    queue.push(1.0, lambda: None, tag="band", shard=shard)
-    queue.push(3.0, lambda: None, tag="late", shard=shard)
-    assert queue.pop_due(2.5).tag == "band"
-    assert queue.pop_due(2.5).tag == "main"
-    assert queue.pop_due(2.5) is None
-    assert queue.pop_due(3.0).tag == "late"
-
-
-def test_clear_keeps_shard_registrations():
-    queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(1.0, lambda: None, shard=shard)
-    queue.clear()
-    assert queue.num_shards == 1
-    assert len(queue) == 0
-    queue.push(1.0, lambda: None, shard=shard)  # must not IndexError
-    assert queue.pop().shard == shard
-
-
-# ----------------------------------------------------------------------
 # Compaction configuration and bookkeeping
 # ----------------------------------------------------------------------
-def test_compaction_threshold_is_configurable():
-    eager = EventQueue(compact_min_size=0, compact_dead_fraction=0.1)
+def test_compaction_threshold_is_configurable(monkeypatch):
+    monkeypatch.setattr(EventQueue, "COMPACT_MIN_SIZE", 0)
+    monkeypatch.setattr(EventQueue, "COMPACT_DEAD_FRACTION", 0.1)
+    eager = EventQueue()
     events = [eager.push(float(i), lambda: None) for i in range(20)]
     for event in events[10:]:
         eager.cancel(event)
@@ -291,7 +203,8 @@ def test_compaction_threshold_is_configurable():
     assert len(eager) == 10
     assert len(eager._heap) <= 12
 
-    lazy = EventQueue(compact_min_size=1000)
+    monkeypatch.setattr(EventQueue, "COMPACT_MIN_SIZE", 1000)
+    lazy = EventQueue()
     events = [lazy.push(float(i), lambda: None) for i in range(20)]
     for event in events[1:]:
         lazy.cancel(event)
@@ -299,24 +212,10 @@ def test_compaction_threshold_is_configurable():
     assert len(lazy._heap) == 20 and len(lazy) == 1
 
 
-def test_invalid_compaction_config_rejected():
-    with pytest.raises(ValueError):
-        EventQueue(compact_min_size=-1)
-    with pytest.raises(ValueError):
-        EventQueue(compact_dead_fraction=0.0)
-    with pytest.raises(ValueError):
-        EventQueue(compact_dead_fraction=1.5)
-
-
-def test_live_and_scan_live_agree():
-    queue = EventQueue(compact_min_size=4)
-    shard = queue.add_shard()
-    events = []
-    for i in range(50):
-        events.append(
-            queue.push(float(i), lambda: None,
-                       shard=shard if i % 2 else None)
-        )
+def test_live_and_scan_live_agree(monkeypatch):
+    monkeypatch.setattr(EventQueue, "COMPACT_MIN_SIZE", 4)
+    queue = EventQueue()
+    events = [queue.push(float(i), lambda: None) for i in range(50)]
     for event in events[::3]:
         queue.cancel(event)
     assert queue.live == len(queue) == queue.scan_live()
@@ -349,8 +248,10 @@ def test_cancel_after_fire_with_compaction_property(entries, compact_min):
     corrupt the live counter nor trigger a compaction that drops pending
     events — even with an aggressive compaction threshold.
     """
-    queue = EventQueue(compact_min_size=compact_min,
-                       compact_dead_fraction=0.25)
+    queue = EventQueue()
+    # Per-instance overrides of the class constants: eager compaction.
+    queue.COMPACT_MIN_SIZE = compact_min
+    queue.COMPACT_DEAD_FRACTION = 0.25
     events = [queue.push(t, lambda: None, tag=fate) for t, fate in entries]
     cancelled = 0
     for event, (_, fate) in zip(events, entries):
