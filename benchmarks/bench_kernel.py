@@ -146,7 +146,7 @@ def test_saturated_two_link_simulation(benchmark):
         for i, name in enumerate(("a.s", "a.r", "b.s", "b.r")):
             radio = Radio(sim, medium, name, (i, 0), 2460.0, 0.0, rng=rng)
             macs[name] = Mac(
-                sim, radio, rng.stream(f"mac.{name}"),
+                sim, radio, rng,
                 cca_policy=FixedCcaThreshold(-77.0),
             )
 

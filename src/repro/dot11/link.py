@@ -100,7 +100,7 @@ class _TwoLinkWorld:
             self.macs[name] = Mac(
                 sim=self.sim,
                 radio=radio,
-                rng=self.rng.stream(f"mac.{name}"),
+                rng=self.rng,
                 params=mac_params,
                 cca_policy=FixedCcaThreshold(-77.0),
             )

@@ -137,7 +137,7 @@ class Dot11Radio(Radio):
         self.current_reception = Reception(
             self,
             signal,
-            self._bit_rng,
+            self._bit_rng(),
             ber_model=dbpsk_ber,
             bit_rate_bps=DOT11B_BIT_RATE_BPS,
         )

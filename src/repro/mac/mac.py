@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-import numpy as np
-
 from ..phy.errors import FrameReception
 from ..phy.frame import Frame
 from ..phy.radio import Radio
+from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
 from .cca import CcaPolicy, FixedCcaThreshold
 from .csma import CsmaTransaction
@@ -32,19 +31,29 @@ IdleListener = Callable[[], None]
 
 
 class Mac:
-    """802.15.4-style MAC bound to one radio."""
+    """802.15.4-style MAC bound to one radio.
+
+    ``rng`` is the deployment's :class:`~repro.sim.rng.RngStreams`.  The
+    MAC draws its backoffs from the ``mac.{radio name}`` stream, which it
+    asks for when its first CSMA transaction starts (most motes of a
+    large scene never send); streams are keyed by name alone, so when
+    that happens does not change a single draw.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         radio: Radio,
-        rng: np.random.Generator,
+        rng: RngStreams,
         params: Optional[MacParams] = None,
         cca_policy: Optional[CcaPolicy] = None,
     ) -> None:
         self.sim = sim
         self.radio = radio
-        self.rng = rng
+        self._rng = rng
+        #: The ``mac.{name}`` stream, fetched from ``_rng`` by the first
+        #: transaction.
+        self._backoff_stream = None
         self.params = params if params is not None else MacParams()
         self.cca_policy = cca_policy if cca_policy is not None else FixedCcaThreshold()
         self.stats = MacStats()
@@ -97,14 +106,19 @@ class Mac:
             return
         if not self._queue:
             return
-        frame = self._queue.popleft()
+        self._start_transaction(self._queue.popleft())
+
+    def _start_transaction(self, frame: Frame) -> None:
+        stream = self._backoff_stream
+        if stream is None:
+            stream = self._backoff_stream = self._rng.stream(f"mac.{self.name}")
         self._active = CsmaTransaction(
             sim=self.sim,
             radio=self.radio,
             params=self.params,
             cca_policy=self.cca_policy,
             stats=self.stats,
-            rng=self.rng,
+            rng=stream,
             frame=frame,
             on_sent=self._on_sent,
             on_failure=self._on_access_failure,
@@ -159,18 +173,7 @@ class Mac:
             frame=frame.frame_id,
             attempt=self._retries,
         )
-        self._active = CsmaTransaction(
-            sim=self.sim,
-            radio=self.radio,
-            params=self.params,
-            cca_policy=self.cca_policy,
-            stats=self.stats,
-            rng=self.rng,
-            frame=frame,
-            on_sent=self._on_sent,
-            on_failure=self._on_access_failure,
-        )
-        self._active.start()
+        self._start_transaction(frame)
 
     def _on_ack_received(self, reception: FrameReception) -> None:
         if self._pending_ack is None:

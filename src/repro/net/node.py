@@ -56,7 +56,7 @@ class Node:
         self.mac = Mac(
             sim=sim,
             radio=self.radio,
-            rng=rng.stream(f"mac.{name}"),
+            rng=rng,
             params=mac_params,
             cca_policy=cca_policy if cca_policy is not None else FixedCcaThreshold(),
         )

@@ -100,8 +100,9 @@ class PiecewiseLinearMask(SpectralMask):
             raise ValueError("mask attenuation must be non-decreasing")
         if max_db < attens[-1]:
             raise ValueError("max_db must be >= the last point's attenuation")
-        self._freqs = list(freqs)
-        self._attens = list(attens)
+        # Tuples: one instance is shared by every default radio.
+        self._freqs = tuple(freqs)
+        self._attens = tuple(attens)
         self.max_db = max_db
 
     def leakage_db(self, delta_f_mhz: float) -> float:
@@ -219,9 +220,16 @@ CC2420_LEAKAGE_POINTS: Tuple[Tuple[float, float], ...] = (
 )
 
 
+_DEFAULT_MASK = PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+
+
 def default_mask() -> PiecewiseLinearMask:
-    """The CC2420-calibrated *decode-path* mask (CPRR anchors, Fig. 4)."""
-    return PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+    """The CC2420-calibrated *decode-path* mask (CPRR anchors, Fig. 4).
+
+    Every call returns the same instance, shared by every default radio;
+    callers must not modify it.
+    """
+    return _DEFAULT_MASK
 
 
 #: Sensing-path (CCA/RSSI) rejection anchors.  The CC2420's RSSI channel
@@ -246,6 +254,9 @@ CCA_LEAKAGE_POINTS: Tuple[Tuple[float, float], ...] = (
     (12.0, 62.0),
 )
 
+_DEFAULT_CCA_MASK = PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+
+
 #: Kept for backwards compatibility / ablations: a flat extra rejection.
 CCA_EXTRA_REJECTION_DB = 5.0
 
@@ -256,14 +267,17 @@ def default_cca_mask(base: SpectralMask | None = None) -> SpectralMask:
     ``base`` is accepted for signature compatibility; when a caller supplies
     a custom decode mask (e.g. the 802.11b substrate) the sensing path
     falls back to a flat extra rejection on top of it, otherwise the
-    CC2420-calibrated :data:`CCA_LEAKAGE_POINTS` curve is used.
+    CC2420-calibrated :data:`CCA_LEAKAGE_POINTS` curve is used, as one
+    instance shared like :func:`default_mask`'s.
     """
     if base is None or _is_default_decode_mask(base):
-        return PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+        return _DEFAULT_CCA_MASK
     return ShiftedMask(base, extra_db=CCA_EXTRA_REJECTION_DB)
 
 
 def _is_default_decode_mask(mask: SpectralMask) -> bool:
+    if mask is _DEFAULT_MASK:
+        return True
     if not isinstance(mask, PiecewiseLinearMask):
         return False
     points = tuple(zip(mask._freqs, mask._attens))

@@ -72,7 +72,16 @@ class RadioConfig:
 
 
 class Radio:
-    """One transceiver bound to a medium, a position and a channel."""
+    """One transceiver bound to a medium, a position and a channel.
+
+    ``rng`` is the :class:`~repro.sim.rng.RngStreams` the radio draws its
+    bit errors from (``medium.rng`` when omitted).  The radio asks it for
+    its ``biterrors.{name}`` stream only when it locks its first frame;
+    streams are keyed by name alone, so when that happens does not change
+    a single draw.  ``mask`` and ``cca_mask`` default to the CC2420
+    decode and sensing masks: one instance each, shared by every radio
+    built without a mask.
+    """
 
     def __init__(
         self,
@@ -104,8 +113,11 @@ class Radio:
         self._sensitivity_dbm = self.config.sensitivity_dbm
         self._capture_threshold_db = self.config.capture_threshold_db
         self._co_channel_tolerance_mhz = self.config.co_channel_tolerance_mhz
-        rng_streams = rng if rng is not None else medium.rng
-        self._bit_rng = rng_streams.stream(f"biterrors.{name}")
+        #: Source of the ``biterrors.{name}`` stream, fetched when a
+        #: reception is first created (most radios of a large scene never
+        #: lock a frame) and then kept in ``_bit_stream``.
+        self._rng = rng if rng is not None else medium.rng
+        self._bit_stream = None
         self.state = RadioState.IDLE
         self.active_signals: List[Signal] = []
         self.current_reception: Optional[Reception] = None
@@ -346,16 +358,6 @@ class Radio:
             total += oldest_power * (covered_until - horizon)
         return mw_to_dbm(total / window_s)
 
-    def _record_sense_change(self) -> None:
-        """Append the current sensed level to the RSSI-register history.
-
-        Signal start/end bookkeeping records steps inline; this helper
-        remains for explicit re-synchronisation (e.g. after a config
-        change in tests)."""
-        self._sense_history.append(
-            (self.sim.now, self._noise_mw + self._sense_sum_mw)
-        )
-
     def cca_busy(self, threshold_dbm: float) -> bool:
         """Energy-detection CCA: busy when in-channel power > threshold."""
         if self.config.cca_averaging:
@@ -431,7 +433,7 @@ class Radio:
                     rssi=round(signal.rx_power_dbm, 2),
                 )
             return
-        self.current_reception = Reception(self, signal, self._bit_rng)
+        self.current_reception = Reception(self, signal, self._bit_rng())
         if self._trace.enabled:
             self.sim.trace.emit(
                 "rx_lock", radio=self.name, frame=signal.frame.frame_id
@@ -463,6 +465,13 @@ class Radio:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _bit_rng(self):
+        """This radio's bit-error stream (created on the first lock)."""
+        stream = self._bit_stream
+        if stream is None:
+            stream = self._bit_stream = self._rng.stream(f"biterrors.{self.name}")
+        return stream
+
     def _is_co_channel(self, signal: Signal) -> bool:
         offset = abs(signal.channel_mhz - self.channel_mhz)
         return offset <= self.config.co_channel_tolerance_mhz

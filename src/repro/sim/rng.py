@@ -6,6 +6,14 @@ that adding randomness to one component never perturbs another.  Streams are
 derived from a single root seed with ``numpy``'s ``SeedSequence.spawn``-style
 keying, so a run is fully determined by ``(root_seed, stream names used)``.
 
+Streams are created on first draw, and are keyed by name alone (a CRC of
+the name is the spawn key), so a stream created late yields the same bits
+as one created early.  Per-radio ``biterrors.*`` and per-node ``mac.*``
+streams are therefore not built at set-up: a radio asks for its stream
+when it first locks a frame, a MAC when its first CSMA transaction
+starts.  In the 70 ms benchmark run of a 50k-mote scene about 160 of
+those 100 000 streams are ever drawn from.
+
 Batched stream creation
 -----------------------
 Large scenes create one fading stream per audible link — 10^5+ streams whose

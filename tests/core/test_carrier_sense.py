@@ -25,7 +25,7 @@ def build(channels, losses, policy=None):
     for name, channel in channels.items():
         radio = Radio(sim, medium, name, positions[name], channel, 0.0, rng=rng)
         cca = policy if name == "probe" and policy is not None else None
-        macs[name] = Mac(sim, radio, rng.stream(f"mac.{name}"), cca_policy=cca)
+        macs[name] = Mac(sim, radio, rng, cca_policy=cca)
     return sim, macs
 
 

@@ -36,7 +36,7 @@ def build_world(channels, losses, policy_nodes, config=None):
             from repro.mac.cca import FixedCcaThreshold
 
             policy = FixedCcaThreshold(-77.0)
-        macs[name] = Mac(sim, radio, rng.stream(f"mac.{name}"), cca_policy=policy)
+        macs[name] = Mac(sim, radio, rng, cca_policy=policy)
     return sim, macs, policies
 
 

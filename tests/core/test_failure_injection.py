@@ -52,7 +52,7 @@ def build_world():
     for name, pos in positions.items():
         radio = Radio(sim, medium, name, pos, 2460.0, 0.0, rng=rng)
         macs[name] = Mac(
-            sim, radio, rng.stream(f"mac.{name}"),
+            sim, radio, rng,
             cca_policy=policy if name == "dcn" else FixedCcaThreshold(-77.0),
         )
     return sim, macs, policy

@@ -26,7 +26,7 @@ def build(channels, losses):
     for name, channel in channels.items():
         radio = Radio(sim, medium, name, positions[name], channel, 0.0, rng=rng)
         macs[name] = Mac(
-            sim, radio, rng.stream(f"mac.{name}"),
+            sim, radio, rng,
             cca_policy=policy if name == "probe" else None,
         )
     return sim, macs, policy

@@ -28,7 +28,7 @@ def make_pair(loss_db=50.0, reverse_loss_db=None, **param_overrides):
     for name, pos in (("tx", (0, 0)), ("rx", (1, 0))):
         radio = Radio(sim, medium, name, pos, 2460.0, 0.0, rng=rng)
         macs[name] = Mac(
-            sim, radio, rng.stream(f"mac.{name}"),
+            sim, radio, rng,
             params=params, cca_policy=FixedCcaThreshold(-77.0),
         )
     return sim, macs
@@ -118,7 +118,7 @@ def test_acked_throughput_lower_than_unacked():
         for name, pos in (("tx", (0, 0)), ("rx", (1, 0))):
             radio = Radio(sim, medium, name, pos, 2460.0, 0.0, rng=rng)
             macs[name] = Mac(
-                sim, radio, rng.stream(f"mac.{name}"),
+                sim, radio, rng,
                 params=params, cca_policy=FixedCcaThreshold(-77.0),
             )
         from repro.net.traffic import SaturatedSource
@@ -156,7 +156,7 @@ def test_bidirectional_acked_saturation_does_not_crash():
     for name, pos in (("a", (0, 0)), ("b", (1, 0))):
         radio = Radio(sim, medium, name, pos, 2460.0, 0.0, rng=rng)
         macs[name] = Mac(
-            sim, radio, rng.stream(f"mac.{name}"),
+            sim, radio, rng,
             params=params, cca_policy=FixedCcaThreshold(-77.0),
         )
 

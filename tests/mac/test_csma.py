@@ -34,7 +34,7 @@ def make_pair(loss_db=50.0, mac_params=None, cca=None, n_extra=0):
         name: Mac(
             sim,
             radio,
-            rng.stream(f"mac.{name}"),
+            rng,
             params=mac_params,
             cca_policy=cca() if cca else FixedCcaThreshold(-77.0),
         )

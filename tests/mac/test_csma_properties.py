@@ -31,7 +31,7 @@ def build_single(seed, params=None, trace=None):
     )
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0, rng=rng)
     rx = Radio(sim, medium, "rx", (1, 0), 2460.0, 0.0, rng=rng)
-    mac = Mac(sim, tx, rng.stream("mac.tx"), params=params,
+    mac = Mac(sim, tx, rng, params=params,
               cca_policy=FixedCcaThreshold(-77.0))
     return sim, mac, rx
 
@@ -67,7 +67,7 @@ def test_saturated_single_sender_throughput_bounded_by_capacity(seed):
             self.name = mac.name
             self.sim = mac.sim
 
-    rx_mac = Mac(sim, rx, RngStreams(seed + 1).stream("mac.rx"))
+    rx_mac = Mac(sim, rx, RngStreams(seed + 1))
     SaturatedSource(_Shim(mac), "rx").start()
     sim.run(2.0)
     rate = rx_mac.stats.delivered / 2.0

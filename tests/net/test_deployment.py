@@ -125,3 +125,49 @@ def test_source_validation():
         AttackerSource(node, None, interval_s=0.0)
     with pytest.raises(ValueError):
         PoissonSource(node, None, rate_pps=0.0, rng=RngStreams(1).stream("x"))
+
+
+def _per_node_streams(deployment):
+    return sorted(
+        name
+        for name in deployment.rng._streams
+        if name.startswith(("biterrors.", "mac."))
+    )
+
+
+def test_per_node_streams_are_built_on_first_draw(monkeypatch):
+    from repro.experiments.scenarios import large_scene
+    from repro.mac.csma import CsmaTransaction
+    from repro.phy.reception import Reception
+
+    locked, started = set(), set()
+    reception_init = Reception.__init__
+    transaction_init = CsmaTransaction.__init__
+
+    def recording_reception(self, radio, *args, **kwargs):
+        locked.add(radio.name)
+        reception_init(self, radio, *args, **kwargs)
+
+    def recording_transaction(self, sim, radio, *args, **kwargs):
+        started.add(radio.name)
+        transaction_init(self, sim, radio, *args, **kwargs)
+
+    monkeypatch.setattr(Reception, "__init__", recording_reception)
+    monkeypatch.setattr(CsmaTransaction, "__init__", recording_transaction)
+
+    def expected():
+        return sorted(
+            [f"biterrors.{name}" for name in locked]
+            + [f"mac.{name}" for name in started]
+        )
+
+    deployment = large_scene(2_000)
+    # Building the scene creates no per-radio bit-error or per-node MAC
+    # stream; starting traffic creates only the senders' MAC streams.
+    assert _per_node_streams(deployment) == []
+    deployment.start_traffic()
+    assert len(started) == 16 and not locked
+    assert _per_node_streams(deployment) == expected()
+    deployment.sim.run(0.005)
+    assert locked
+    assert _per_node_streams(deployment) == expected()

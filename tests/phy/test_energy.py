@@ -88,7 +88,7 @@ def test_dcn_sensing_samples_counted():
     rng = RngStreams(1)
     medium = Medium(sim, FixedRssMatrix(), fading=NoFading(), rng=rng)
     radio = Radio(sim, medium, "a", (0, 0), 2460.0, 0.0, rng=rng)
-    Mac(sim, radio, rng.stream("mac.a"),
+    Mac(sim, radio, rng,
         cca_policy=DcnCcaPolicy(AdjustorConfig(t_init_s=0.5)))
     sim.run(2.0)
     # ~0.5 s of 1 ms sampling, then the sampler stops

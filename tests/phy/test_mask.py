@@ -12,6 +12,13 @@ from repro.phy.mask import (
     default_cca_mask,
     default_mask,
 )
+from repro.dot11.phy11b import dot11b_mask
+from repro.phy.fading import NoFading
+from repro.phy.medium import Medium
+from repro.phy.propagation import FixedRssMatrix
+from repro.phy.radio import Radio
+from repro.sim.rng import RngStreams
+from repro.sim.simulator import Simulator
 
 
 def test_default_mask_anchor_points():
@@ -170,3 +177,43 @@ def test_arbitrary_mask_monotone_in_abs_offset(mask, df1, df2):
 def test_arbitrary_mask_bounded(mask, df):
     value = mask.leakage_db(df)
     assert 0.0 <= value <= mask.max_db + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Default radios share one immutable decode mask and one CCA mask.
+
+def _radios(n, **kwargs):
+    sim = Simulator()
+    medium = Medium(sim, FixedRssMatrix(), fading=NoFading(), rng=RngStreams(1))
+    return [
+        Radio(sim, medium, f"r{i}", (float(i), 0.0), 2460.0, 0.0, **kwargs)
+        for i in range(n)
+    ]
+
+
+def test_default_radios_share_one_mask_pair():
+    first, second = _radios(2)
+    assert first.mask is second.mask is default_mask()
+    assert first.cca_mask is second.cca_mask is default_cca_mask()
+
+
+def test_shared_cca_mask_matches_a_fresh_one_bit_for_bit():
+    shared = _radios(1)[0].cca_mask
+    fresh = PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+    grid = [i * 0.05 - 25.0 for i in range(1001)]
+    assert [shared.leakage_db(df) for df in grid] == [
+        fresh.leakage_db(df) for df in grid
+    ]
+
+
+def test_equal_but_distinct_decode_mask_gets_the_shared_cca_mask():
+    equal = PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+    assert default_cca_mask(equal) is default_cca_mask()
+
+
+def test_custom_decode_mask_gets_its_own_shifted_cca_mask():
+    first, second = _radios(2, mask=dot11b_mask())
+    for radio in (first, second):
+        assert isinstance(radio.cca_mask, ShiftedMask)
+        assert radio.cca_mask.base is radio.mask
+    assert first.cca_mask is not second.cca_mask

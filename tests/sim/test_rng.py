@@ -102,3 +102,25 @@ if given is not None:
             for g in RngStreams(root).stream_many(names)
         ]
         assert batch == scalar
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=50),
+                      st.integers(min_value=1, max_value=16)),
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_late_stream_matches_stream_built_first_property(root, earlier, key):
+        """Streams are created on first draw (per-radio bit errors, per-node
+        MAC backoff): one fetched after other streams were created and
+        drawn from must yield the bits it would have yielded if built first."""
+        name = f"late.{key}"
+        first = RngStreams(root).stream(name).random(8).tolist()
+        streams = RngStreams(root)
+        for other_key, draws in earlier:
+            if other_key != key:
+                streams.stream(f"late.{other_key}").integers(0, 2**20, draws)
+        assert streams.stream(name).random(8).tolist() == first
