@@ -14,9 +14,10 @@ matters more than speed: all three regimes produce **byte-identical**
 result tables at a fixed seed — telemetry is strictly passive.
 
 Run with ``pytest benchmarks/bench_obs.py --benchmark-only -s``.
-The CI regression gate for the disabled path lives in the kernel suite
-(``obs_off_mini_run`` in BENCH_kernel.json, 25% tolerance); the numbers
-here are informational.
+The disabled path has no gate of its own: obs is off in every
+``perfbench`` workload, so its guard cost is inside every timing that
+CI's base-vs-head gate (``benchmarks/perf_gate.py``) compares.  The
+numbers here are informational.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ The package implements, from scratch:
   evaluation (:mod:`repro.experiments`),
 - a parallel experiment-campaign engine with result caching, retries and
   per-seed aggregation (:mod:`repro.campaign`),
-- kernel profiling / benchmark-regression tooling (:mod:`repro.perf`),
+- kernel profiling tooling (:mod:`repro.perf`),
 - a correctness layer: runtime invariants, a fast-vs-reference
   differential oracle, and a determinism checker (:mod:`repro.check`), and
 - an observability layer: metrics registry, span timelines, JSONL export

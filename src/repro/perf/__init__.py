@@ -1,35 +1,25 @@
-"""repro.perf — kernel profiling and performance-regression tooling.
+"""repro.perf — kernel profiling tooling.
 
-Two entry points, surfaced on the command line as ``python -m repro perf``:
+Two entry points:
 
-- :mod:`repro.perf.profiler` — ``repro perf profile <exhibit>``: run one
-  registered exhibit under :mod:`cProfile` and print the top-N hotspots,
-  so "where does the time go" is one command away;
+- :mod:`repro.perf.profiler` — ``repro perf profile <exhibit>`` (or
+  ``--scene N``): run one registered exhibit, or a synthetic dense scene,
+  under :mod:`cProfile` and print the top-N hotspots, so "where does the
+  time go" is one command away;
 - :class:`repro.perf.profiler.FlightRecorder` — periodic low-overhead
   process snapshots (CPU, RSS, GC, caller gauges) for long-lived
   services; the campaign server runs one and serves its ring at
-  ``GET /debug/profile``;
-- :mod:`repro.perf.bench` — ``repro perf bench``: a fixed suite of kernel
-  micro-benchmarks (event-queue throughput, cancellation churn, medium
-  fan-out, CCA probing incremental vs. brute-force, and an end-to-end
-  exhibit) whose results are written to ``BENCH_kernel.json``.  The same
-  command can *check* a fresh run against the committed baseline
-  (``--check``), failing on wall-time regressions beyond a tolerance —
-  that is the CI guard keeping the speedup trajectory monotone.
+  ``GET /debug/profile``.
 
-Benchmark comparisons across machines are normalised by a pure-Python
-calibration loop timed alongside every run (see
-:func:`repro.perf.bench.calibrate`), so the CI gate measures *relative*
-kernel cost rather than absolute runner speed.
+Timing and regression gating live outside the package: the repository
+benchmark is ``perfbench/run.py`` (workloads and metrics in
+``BENCHMARK.json``), and ``benchmarks/perf_gate.py`` compares a change
+against its base tree on it.
 """
 
-from .bench import run_bench_suite, check_against_baseline, load_baseline
 from .profiler import FlightRecorder, profile_exhibit, profile_scene
 
 __all__ = [
-    "run_bench_suite",
-    "check_against_baseline",
-    "load_baseline",
     "FlightRecorder",
     "profile_exhibit",
     "profile_scene",

@@ -53,20 +53,6 @@ class SpectralMask:
     def leakage_db(self, delta_f_mhz: float) -> float:
         raise NotImplementedError
 
-    def leakage_db_batch(self, delta_f_mhz: "object") -> "object":
-        """Attenuation for an array of frequency offsets.
-
-        Returns a float64 numpy array, bit-identical to element-wise
-        :meth:`leakage_db` calls (the default loops; overrides must keep
-        the guarantee so batched callers match the scalar path exactly).
-        """
-        import numpy as np
-
-        out = np.empty(len(delta_f_mhz))
-        for i, df in enumerate(delta_f_mhz):
-            out[i] = self.leakage_db(float(df))
-        return out
-
     def attenuated_power_dbm(self, power_dbm: float, delta_f_mhz: float) -> float:
         """Received in-band power of a signal offset by ``delta_f_mhz``."""
         return power_dbm - self.leakage_db(delta_f_mhz)
@@ -124,37 +110,6 @@ class PiecewiseLinearMask(SpectralMask):
         a0, a1 = self._attens[idx], self._attens[idx + 1]
         frac = (df - f0) / (f1 - f0)
         return a0 + frac * (a1 - a0)
-
-    def leakage_db_batch(self, delta_f_mhz: "object") -> "object":
-        # Bit-identical to the scalar method: linear interpolation uses
-        # only IEEE-exact elementwise ops (+, -, *, /, min), and
-        # searchsorted reproduces bisect_right exactly.
-        import numpy as np
-
-        df = np.abs(np.asarray(delta_f_mhz, dtype=float))
-        freqs = np.asarray(self._freqs)
-        attens = np.asarray(self._attens)
-        out = np.empty(df.shape)
-        beyond = df >= self._freqs[-1]
-        if beyond.any():
-            if len(self._freqs) >= 2:
-                slope = (self._attens[-1] - self._attens[-2]) / (
-                    self._freqs[-1] - self._freqs[-2]
-                )
-            else:
-                slope = 0.0
-            extended = self._attens[-1] + slope * (df[beyond] - self._freqs[-1])
-            out[beyond] = np.minimum(extended, self.max_db)
-        inner = ~beyond
-        if inner.any():
-            dfi = df[inner]
-            # df >= 0 and freqs[0] == 0, so idx >= 0 always.
-            idx = np.searchsorted(freqs, dfi, side="right") - 1
-            f0 = freqs[idx]
-            a0 = attens[idx]
-            frac = (dfi - f0) / (freqs[idx + 1] - f0)
-            out[inner] = a0 + frac * (attens[idx + 1] - a0)
-        return out
 
 
 class ShiftedMask(SpectralMask):

@@ -46,33 +46,6 @@ def test_cli_perf_profile_smoke(capsys):
     assert "function calls" in capsys.readouterr().out
 
 
-def test_cli_perf_bench_missing_baseline_exits_2(tmp_path, capsys):
-    code = main([
-        "perf", "bench", "--quick",
-        "--check", str(tmp_path / "nope.json"),
-    ])
-    assert code == 2
-    assert "not found" in capsys.readouterr().err
-
-
-@pytest.mark.slow
-def test_cli_perf_bench_check_against_fresh_baseline(tmp_path, capsys):
-    """Write a quick baseline, then gate a second run against it.
-
-    The generous ``--tolerance`` is deliberate: this asserts the CLI
-    plumbing (write -> load -> compare -> exit code), not machine speed —
-    the test box may be under arbitrary load from parallel test workers.
-    """
-    out = tmp_path / "baseline.json"
-    assert main(["perf", "bench", "--quick", "--out", str(out)]) == 0
-    assert out.exists()
-    assert main([
-        "perf", "bench", "--quick", "--check", str(out),
-        "--tolerance", "5.0",
-    ]) == 0
-    assert "within tolerance" in capsys.readouterr().out
-
-
 def test_profile_scene_returns_hotspot_table():
     from repro.perf import profile_scene
 
@@ -136,51 +109,3 @@ def test_cli_perf_profile_json_smoke(tmp_path, capsys):
     assert json.loads(out.read_text())["functions"]
     assert "function calls" in capsys.readouterr().out
 
-
-# ----------------------------------------------------------------------
-# Bench CLI: --only and --compare
-# ----------------------------------------------------------------------
-def test_cli_perf_bench_only_unknown_exits_2(capsys):
-    assert main(["perf", "bench", "--only", "no_such_bench"]) == 2
-    assert "no_such_bench" in capsys.readouterr().err
-
-
-def test_cli_perf_bench_compare_missing_baseline_exits_2(tmp_path, capsys):
-    code = main([
-        "perf", "bench", "--quick", "--only", "event_queue",
-        "--compare", str(tmp_path / "nope.json"),
-    ])
-    assert code == 2
-    assert "not found" in capsys.readouterr().err
-
-
-def test_cli_perf_bench_only_with_compare(tmp_path, capsys):
-    """--only restricts the suite; --compare prints per-bench deltas
-    against a previous document without gating the exit code."""
-    out = tmp_path / "base.json"
-    assert main([
-        "perf", "bench", "--only", "event_queue", "--out", str(out),
-    ]) == 0
-    capsys.readouterr()
-    assert main([
-        "perf", "bench", "--only", "event_queue", "--compare", str(out),
-        "--out", str(tmp_path / "second.json"),
-    ]) == 0
-    printed = capsys.readouterr().out
-    assert "per-bench deltas" in printed
-    assert "event_queue" in printed
-    assert "%" in printed
-
-
-def test_cli_perf_bench_only_without_out_writes_nothing(
-    tmp_path, monkeypatch, capsys
-):
-    """A subset run must never truncate the committed baseline: without
-    --out nothing is written, BENCH_kernel.json included."""
-    monkeypatch.chdir(tmp_path)
-    baseline = tmp_path / "BENCH_kernel.json"
-    baseline.write_text('{"committed": true}\n')
-    assert main(["perf", "bench", "--only", "event_queue"]) == 0
-    assert baseline.read_text() == '{"committed": true}\n'
-    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_kernel.json"]
-    assert "wrote" not in capsys.readouterr().out

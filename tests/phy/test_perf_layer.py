@@ -1,4 +1,4 @@
-"""Tests for the PR-2 kernel performance layer.
+"""Tests for the kernel performance layer.
 
 Three properties are load-bearing and verified here:
 
@@ -6,10 +6,11 @@ Three properties are load-bearing and verified here:
    (:class:`~repro.phy.vectorized.VectorizedLinkCache` audible sets) and
    on the brute-force reference path (``Medium(reference=True)``)
    produces identical observable outcomes, bit for bit.
-2. **Accumulator exactness** — the incremental in-channel power sums agree
-   with the pre-optimisation brute-force re-summation (kept in
-   :mod:`repro.perf.bench`) to within 1e-12 relative, over arbitrary
-   signal start/end sequences (hypothesis property test).
+2. **Accumulator exactness** — the incremental power sums equal, bit for
+   bit, the full mask re-evaluation of ``Radio.resample_sense_power_mw``
+   and ``Radio.resample_in_channel_power_mw`` (the reference the oracle and
+   the invariant layer use), over arbitrary signal start/end sequences
+   (hypothesis property test).
 3. **Frame-timeline bit accounting** — a completed frame samples exactly
    ``round(airtime * bit_rate)`` bits no matter how many times the
    interference environment changes mid-frame.
@@ -21,10 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.bench import (
-    brute_force_in_channel_power_mw,
-    brute_force_sensed_power_mw,
-)
 from repro.phy.constants import BIT_RATE_BPS
 from repro.phy.fading import FadingModel, LogNormalFading, NoFading
 from repro.phy.frame import Frame
@@ -118,7 +115,7 @@ def _run_scenario(reference: bool, seed: int = 7, register_order=None):
     return events
 
 
-def test_culling_matches_brute_force_reference_exactly():
+def test_culling_matches_reference_path_exactly():
     cached = _run_scenario(reference=False)
     brute = _run_scenario(reference=True)
     assert cached == brute  # identical tuples, float-exact RSSIs included
@@ -293,7 +290,7 @@ def test_buffered_fading_draws_match_scalar_normal_calls():
 
 
 # ----------------------------------------------------------------------
-# 2. Incremental power accumulator vs brute-force re-summation
+# 2. Incremental power accumulator vs full mask re-evaluation
 # ----------------------------------------------------------------------
 def _bare_radio():
     sim = Simulator()
@@ -319,25 +316,13 @@ def _make_signal(rx, channel_mhz, rx_power_dbm):
     return Signal(transmission, rx_power_dbm)
 
 
-def _rel_diff(a, b):
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
-
-
 def _assert_accumulators_exact(rx):
-    assert _rel_diff(rx.sensed_power_mw(), brute_force_sensed_power_mw(rx)) <= 1e-12
-    assert (
-        _rel_diff(rx.in_channel_power_mw(), brute_force_in_channel_power_mw(rx))
-        <= 1e-12
-    )
+    assert rx.sensed_power_mw() == rx.resample_sense_power_mw()
+    assert rx.in_channel_power_mw() == rx.resample_in_channel_power_mw()
     for signal in rx.active_signals:
-        assert (
-            _rel_diff(
-                rx.in_channel_power_mw(exclude=signal),
-                brute_force_in_channel_power_mw(rx, exclude=signal),
-            )
-            <= 1e-12
-        )
+        assert rx.in_channel_power_mw(
+            exclude=signal
+        ) == rx.resample_in_channel_power_mw(exclude=signal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,8 +338,8 @@ def _assert_accumulators_exact(rx):
     data=st.data(),
 )
 def test_incremental_accumulator_matches_brute_force(spec, data):
-    """Random add/remove/probe interleavings stay within 1e-12 relative of
-    the pre-optimisation full re-summation (the ISSUE acceptance bound)."""
+    """Random add/remove/probe interleavings stay bit-equal to the full
+    mask re-evaluation."""
     rx = _bare_radio()
     live = []
     for offset, power in spec:
@@ -372,7 +357,7 @@ def test_incremental_accumulator_matches_brute_force(spec, data):
 
 
 def test_removal_rebuild_is_bitwise_equal_to_brute_force():
-    """After any removal the running sum is *bitwise* the brute-force sum
+    """After any removal the running sum is *bitwise* the full re-sum
     (both walk the same list in the same order)."""
     rx = _bare_radio()
     signals = [
@@ -382,7 +367,7 @@ def test_removal_rebuild_is_bitwise_equal_to_brute_force():
         _start(rx, signal)
     for signal in signals[::2]:
         rx._remove_signal(signal)
-        assert rx._noise_mw + rx._sense_sum_mw == brute_force_sensed_power_mw(rx)
+        assert rx._noise_mw + rx._sense_sum_mw == rx.resample_sense_power_mw()
 
 
 def test_gain_memo_caches_per_offset():

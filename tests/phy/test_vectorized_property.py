@@ -2,9 +2,9 @@
 
 Three layers of guarantees, in decreasing strictness:
 
-1. **Bit-identical batch kernels** — mask leakage and fading draws use
-   only exact float ops (or replay the exact same RNG stream), so the
-   batched results must equal the scalar results with ``==``.
+1. **Bit-identical batch kernels** — batched fading draws replay the
+   exact same RNG stream, so they must equal the scalar draws with
+   ``==``.
 2. **Guard-banded batch kernels** — batched path loss goes through numpy
    SIMD transcendentals that may differ from libm by a few ulp; the
    contract is "within ``PRESELECT_GUARD_DB``" (it is only ever used to
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.dot11.phy11b import Dot11Radio
 from repro.phy.fading import LogNormalFading, NoFading
 from repro.phy.frame import Frame, reset_frame_ids
-from repro.phy.mask import PiecewiseLinearMask
 from repro.phy.medium import Medium
 from repro.phy.propagation import (
     FixedRssMatrix,
@@ -82,46 +81,7 @@ def test_batched_fixed_matrix_is_bit_identical(rx, tx, power):
 
 
 # ----------------------------------------------------------------------
-# 2. Batched mask leakage: bit-identical
-# ----------------------------------------------------------------------
-mask_points = st.lists(
-    st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
-    min_size=1,
-    max_size=7,
-    unique=True,
-).map(lambda fs: [0.0] + sorted(fs))
-
-
-@given(
-    freqs=mask_points,
-    steps=st.lists(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        min_size=8,
-        max_size=8,
-    ),
-    offsets=st.lists(
-        st.floats(min_value=-120.0, max_value=120.0, allow_nan=False),
-        min_size=1,
-        max_size=50,
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_batched_mask_leakage_is_bit_identical(freqs, steps, offsets):
-    attens = []
-    level = 0.0
-    for i in range(len(freqs)):
-        level += steps[i]
-        attens.append(level)
-    mask = PiecewiseLinearMask(
-        list(zip(freqs, attens)), max_db=attens[-1] + 15.0
-    )
-    batch = mask.leakage_db_batch(np.asarray(offsets, dtype=float))
-    for i, offset in enumerate(offsets):
-        assert batch[i] == mask.leakage_db(offset)
-
-
-# ----------------------------------------------------------------------
-# 3. Batched fading draws: bit-identical stream replay
+# 2. Batched fading draws: bit-identical stream replay
 # ----------------------------------------------------------------------
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -149,7 +109,7 @@ def test_no_fading_sample_db_many_is_zeros():
 
 
 # ----------------------------------------------------------------------
-# 4. Whole-scene trace identity: fast path vs reference path
+# 3. Whole-scene trace identity: fast path vs reference path
 # ----------------------------------------------------------------------
 RADIO_NAMES = ("a_tx", "a_rx1", "a_rx2", "b_tx", "b_rx")
 
