@@ -102,7 +102,7 @@ class ResultCache:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
         every :class:`CacheStats` increment is mirrored into counters
-        named ``campaign.cache.<field>`` so the server's ``/cache/stats``
+        named ``campaign.cache.<field>`` so the server's ``/metrics``
         endpoint and obs exports see live values.
     """
 
@@ -264,7 +264,7 @@ class ResultCache:
         }
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Counters + directory summary, the ``GET /cache/stats`` payload."""
+        """Counters + directory summary as one JSON-ready dict."""
         with self._lock:
             counters = self.stats.to_dict()
         snap = {

@@ -90,9 +90,6 @@ class CampaignClient:
     def campaigns(self) -> List[Dict[str, Any]]:
         return self._request("GET", "/campaigns")["campaigns"]
 
-    def cache_stats(self) -> Dict[str, Any]:
-        return self._request("GET", "/cache/stats")
-
     def metrics_text(self) -> str:
         """Raw ``GET /metrics`` body (Prometheus exposition text)."""
         return self._request_text("/metrics")

@@ -24,9 +24,6 @@ Endpoints
   in-flight/completed/failed, per-exhibit wall-time summaries,
   coalescing counters, and ``worker_*`` series merged from the obs
   snapshots worker processes ship home on ``JobOutcome.metrics``.
-- ``GET /cache/stats`` — deprecated alias: the same JSON as before
-  ``/metrics`` existed (kept so old tooling keeps working; new tooling
-  should scrape ``/metrics``).
 - ``GET /campaigns/<id>/trace`` — the merged Chrome ``trace_event``
   timeline of one campaign: server-side spans (submit, cache-probe,
   queue-wait, execute) as a parent track, worker wall + sim spans below
@@ -76,7 +73,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.exposition import merge_worker_snapshot, render_prometheus
-from ..obs.metrics import MetricsRegistry, registry_snapshot
+from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import RotatingJsonlSink, run_manifest
 from ..obs.tracectx import SpanRecorder, campaign_trace
 from ..perf.profiler import FlightRecorder
@@ -210,7 +207,7 @@ class CampaignServer:
             "server.jobs.retried", "server.jobs.coalesced",
             "server.events.sink_errors",
             "campaign.cache.hits", "campaign.cache.misses",
-            "campaign.cache.writes", "campaign.cache.evictions",
+            "campaign.cache.puts", "campaign.cache.evictions",
         ):
             self.metrics.counter(name)
         # Live service gauges: registered once, read at scrape time.
@@ -647,13 +644,6 @@ class CampaignServer:
             self._respond_text(writer, 200, render_prometheus(self.metrics))
         elif method == "GET" and path == "/debug/profile":
             self._respond(writer, 200, self.flight.report())
-        elif method == "GET" and path == "/cache/stats":
-            # Deprecated alias: /metrics carries the same counters as
-            # campaign_cache_* series; the JSON shape is pinned by tests
-            # so pre-/metrics tooling keeps working unchanged.
-            snap = self.cache.stats_snapshot()
-            snap["metrics"] = registry_snapshot(self.metrics)
-            self._respond(writer, 200, snap)
         elif method == "POST" and path == "/shutdown":
             outstanding = sum(
                 1 for c in self._campaigns.values() if c.state != "done"

@@ -27,15 +27,17 @@ def corrupt_sense_accumulator(radio: Any, extra_mw: float) -> None:
 
     Mimics the class of bug the resample invariant exists for: an
     incremental update applied twice / with the wrong gain, leaving the
-    running sum out of step with the active-signal list.
+    running sum out of step with the active-signal list.  A stale sum is
+    brought up to date first, so the drift survives into the next read.
     """
-    radio._sense_sum_mw += extra_mw
+    radio._sense_sum_mw = radio._sense_sum() + extra_mw
 
 
 def negate_sense_accumulator(radio: Any) -> None:
     """Flip the accumulator's sign (caught by the non-negativity check
-    as soon as the sum is non-zero)."""
-    radio._sense_sum_mw = -abs(radio._sense_sum_mw)
+    as soon as the sum is non-zero), bringing a stale sum up to date
+    first."""
+    radio._sense_sum_mw = -abs(radio._sense_sum())
 
 
 def corrupt_bit_counter(reception: Any, extra_bits: int) -> None:

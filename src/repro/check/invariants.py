@@ -142,13 +142,19 @@ class InvariantChecker:
     # PHY hooks
     # ------------------------------------------------------------------
     def on_accumulator_update(self, radio: Any) -> None:
-        """Signal add/remove hook: non-negativity + periodic resample."""
+        """Signal add/remove hook: non-negativity + periodic resample.
+
+        The non-negativity check reads the cached sensing-path sum only
+        when it holds a value: re-summing a stale one here would give
+        checked runs an eager path that unchecked runs never take.
+        """
         self.counters["accumulator_updates"] += 1
-        if radio._sense_sum_mw < 0.0:
+        sense_sum = radio._sense_sum_mw
+        if sense_sum is not None and sense_sum < 0.0:
             raise InvariantViolation(
                 f"negative sensing-path accumulator on radio "
                 f"{radio.name!r} at t={radio.sim.now:.9f} s: "
-                f"{radio._sense_sum_mw!r} mW "
+                f"{sense_sum!r} mW "
                 f"({len(radio.active_signals)} active signals)"
             )
         key = id(radio)

@@ -27,8 +27,6 @@ __all__ = [
     "RX_SENSITIVITY_DBM",
     "NOISE_FLOOR_DBM",
     "NOISE_BANDWIDTH_MHZ",
-    "RSSI_AVG_SYMBOLS",
-    "RSSI_AVG_WINDOW_S",
     "CHANNEL_SPACING_MHZ",
     "CHANNEL_11_MHZ",
     "NUM_CHANNELS",
@@ -86,9 +84,6 @@ RX_SENSITIVITY_DBM = -94.0
 NOISE_FLOOR_DBM = -100.0
 #: Receiver noise bandwidth used for SINR bookkeeping.
 NOISE_BANDWIDTH_MHZ = 2.0
-#: The RSSI register averages over 8 symbol periods (128 us).
-RSSI_AVG_SYMBOLS = 8
-RSSI_AVG_WINDOW_S = RSSI_AVG_SYMBOLS * SYMBOL_PERIOD_S
 
 #: 802.15.4 channel grid: channel k (11..26) sits at 2405 + 5 (k - 11) MHz.
 CHANNEL_SPACING_MHZ = 5.0

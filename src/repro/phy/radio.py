@@ -2,9 +2,9 @@
 
 Responsibilities:
 
-- **Sensing** — in-channel power (RSSI register / CCA measurement): the sum
-  of every audible signal's power after spectral-mask attenuation toward the
-  radio's channel, plus the noise floor.
+- **Sensing** — in-channel power (the instantaneous CCA energy measurement):
+  the sum of every audible signal's power after spectral-mask attenuation
+  toward the radio's channel, plus the noise floor.
 - **Transmitting** — hands frames to the :class:`~repro.phy.medium.Medium`;
   a transmitting radio is deaf (half-duplex).
 - **Receiving** — locks onto co-channel frames whose preamble is decodable
@@ -24,7 +24,6 @@ CCA-Adjustor uses).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from math import log10 as _log10
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -32,7 +31,7 @@ from typing import Callable, List, Optional
 from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
 from ..sim.units import dbm_to_mw, mw_to_dbm
-from .constants import NOISE_FLOOR_DBM, RSSI_AVG_WINDOW_S, RX_SENSITIVITY_DBM
+from .constants import NOISE_FLOOR_DBM, RX_SENSITIVITY_DBM
 from .energy import EnergyAccumulator
 from .errors import FrameReception
 from .frame import Frame
@@ -64,11 +63,6 @@ class RadioConfig:
     capture_threshold_db: float = -1.0
     #: Signals within this offset of the radio's centre count as co-channel.
     co_channel_tolerance_mhz: float = 0.5
-    #: When True, CCA compares the 8-symbol *time-averaged* RSSI register
-    #: (as the CC2420 actually does) instead of the instantaneous power.
-    #: Off by default: at CSMA timescales the difference is small and the
-    #: experiment calibration uses the instantaneous reading.
-    cca_averaging: bool = False
 
 
 class Radio:
@@ -128,17 +122,12 @@ class Radio:
         #: discrete set, so the mask curves are evaluated once per offset
         #: instead of once per probe.
         self._gain_memo: dict = {}
-        #: Running sensing-path interference sum (mW, excludes noise).
-        #: Maintained incrementally by :meth:`start_signal` /
-        #: :meth:`_remove_signal`; reset exactly on removal so float drift
-        #: cannot accumulate.
-        self._sense_sum_mw = 0.0
+        #: Cached sensing-path interference sum (mW, excludes noise), or
+        #: ``None`` when stale.  :meth:`start_signal` extends a current
+        #: sum in O(1); :meth:`_remove_signal` only marks it stale, and
+        #: :meth:`_sense_sum` re-sums the active list on the next probe.
+        self._sense_sum_mw: Optional[float] = 0.0
         self.energy = EnergyAccumulator(tx_power_dbm=tx_power_dbm)
-        #: Step history of the sensing-path power: ``(time, power_mw)``
-        #: entries meaning "sensed power became power_mw at time".  Feeds
-        #: the time-averaged RSSI register.
-        self._sense_history = deque(maxlen=128)
-        self._sense_history.append((self.sim.now, self._noise_mw))
         #: Reference-path toggle (``Medium.reference``): when True the
         #: power probes re-derive every contribution from the spectral
         #: masks per call instead of using the memoised gains and the
@@ -210,11 +199,11 @@ class Radio:
         ``lockable`` its :meth:`_lockable` verdict for the signal's
         channel; the medium's fast path passes them precomputed per
         fan-out entry, :meth:`on_signal_start` looks them up.  The signal's
-        post-mask contributions are cached on it, folded into the running
-        sensing-path sum (O(1)) and stepped into the RSSI-register history.
-        An ongoing reception first closes its elapsed segment under the
-        *old* interference set and keeps its lock; otherwise a lockable
-        signal goes up the lock ladder.
+        post-mask contributions are cached on it and, when the cached
+        sensing-path sum is current, added to it (O(1); a stale sum stays
+        stale).  An ongoing reception first closes its elapsed segment
+        under the *old* interference set and keeps its lock; otherwise a
+        lockable signal goes up the lock ladder.
         """
         reception = self.current_reception
         if reception is not None:
@@ -224,38 +213,46 @@ class Radio:
         sense_mw = rx_power_mw * sense_gain
         signal.sense_mw = sense_mw
         self.active_signals.append(signal)
-        sense_sum = self._sense_sum_mw + sense_mw
-        self._sense_sum_mw = sense_sum
-        sim = self.sim
-        self._sense_history.append((sim.now, self._noise_mw + sense_sum))
-        checks = sim.checks
+        sense_sum = self._sense_sum_mw
+        if sense_sum is not None:
+            self._sense_sum_mw = sense_sum + sense_mw
+        checks = self.sim.checks
         if checks is not None:
             checks.on_accumulator_update(self)
         if reception is None and lockable:
             self._maybe_lock(signal)
 
     def _remove_signal(self, signal: Signal) -> None:
-        """Stop tracking ``signal`` and rebuild the sensing-path sum.
+        """Stop tracking ``signal`` and mark the sensing-path sum stale.
 
-        The rebuild is a plain sum over the (short) remaining list of
-        already-cached floats: this keeps removal cheap while making the
-        running sum *exactly* equal to a fresh brute-force re-summation —
-        no incremental subtraction, hence no cancellation drift.
+        No subtraction (hence no cancellation drift) and no re-sum here:
+        signals end hundreds of times per CCA probe on a dense scene, so
+        the re-sum waits for :meth:`_sense_sum`.  An emptied list has the
+        exact sum ``0.0``.
         """
         signals = self.active_signals
         signals.remove(signal)
-        if signals:
-            total = 0.0
-            for s in signals:
-                total += s.sense_mw
-            self._sense_sum_mw = total
-        else:
-            self._sense_sum_mw = total = 0.0
-        sim = self.sim
-        self._sense_history.append((sim.now, self._noise_mw + total))
-        checks = sim.checks
+        self._sense_sum_mw = None if signals else 0.0
+        checks = self.sim.checks
         if checks is not None:
             checks.on_accumulator_update(self)
+
+    def _sense_sum(self) -> float:
+        """The sensing-path sum (mW, excludes noise), re-summed if stale.
+
+        The re-sum is a plain left-to-right loop from ``0.0`` in
+        active-list order, the float order :meth:`start_signal` extends
+        and :meth:`resample_sense_power_mw` follows, so the cached value
+        is bitwise the full re-sum whenever it is read.  Not ``sum()``:
+        from Python 3.12 it compensates rounding and would differ.
+        """
+        total = self._sense_sum_mw
+        if total is None:
+            total = 0.0
+            for signal in self.active_signals:
+                total += signal.sense_mw
+            self._sense_sum_mw = total
+        return total
 
     # ------------------------------------------------------------------
     # Sensing
@@ -280,12 +277,13 @@ class Radio:
     def sensed_power_mw(self) -> float:
         """Sensing-path in-channel power (mW): what CCA/RSSI measures.
 
-        O(1): the per-signal contributions are accumulated incrementally as
-        signals start and end rather than re-summed on every probe.
+        The per-signal contributions are cached at signal start.  The
+        probe is O(1) while signals only start; the first probe after a
+        signal end re-sums the active list once (see :meth:`_sense_sum`).
         """
         if self._reference:
             return self.resample_sense_power_mw()
-        return self._noise_mw + self._sense_sum_mw
+        return self._noise_mw + self._sense_sum()
 
     # ------------------------------------------------------------------
     # Reference resampling (pre-PR-2 algorithms, kept live)
@@ -333,35 +331,8 @@ class Radio:
         """Instantaneous sensed power in dBm."""
         return mw_to_dbm(self.sensed_power_mw())
 
-    def rssi_register_dbm(self, window_s: float = RSSI_AVG_WINDOW_S) -> float:
-        """The CC2420 RSSI register: sensed power averaged over 8 symbols.
-
-        Computed as the time-weighted mean of the sensing-path power over
-        the trailing ``window_s`` (128 us), exactly how the chip's
-        RSSI.RSSI_VAL behaves.
-        """
-        now = self.sim.now
-        horizon = now - window_s
-        # Walk the step history backwards, accumulating weighted power.
-        total = 0.0
-        covered_until = now
-        for time, power_mw in reversed(self._sense_history):
-            start = max(time, horizon)
-            if start < covered_until:
-                total += power_mw * (covered_until - start)
-                covered_until = start
-            if time <= horizon:
-                break
-        if covered_until > horizon:
-            # History shorter than the window: extend the oldest level.
-            oldest_power = self._sense_history[0][1]
-            total += oldest_power * (covered_until - horizon)
-        return mw_to_dbm(total / window_s)
-
     def cca_busy(self, threshold_dbm: float) -> bool:
         """Energy-detection CCA: busy when in-channel power > threshold."""
-        if self.config.cca_averaging:
-            return self.rssi_register_dbm() > threshold_dbm
         return self.sense_power_dbm() > threshold_dbm
 
     # ------------------------------------------------------------------

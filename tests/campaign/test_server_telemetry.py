@@ -1,6 +1,6 @@
 """Service telemetry on the campaign server: ``/metrics`` exposition,
-the deprecated ``/cache/stats`` alias, worker-metric merge, the merged
-campaign trace, the events JSONL sink and ``/debug/profile``.
+worker-metric merge, the merged campaign trace, the events JSONL sink
+and ``/debug/profile``.
 
 Reuses the in-process harness from :mod:`tests.campaign.test_server`
 (ephemeral port, thread workers, synthetic runner).
@@ -69,19 +69,6 @@ def test_metrics_content_type_is_prometheus_text(tmp_path):
         with urllib.request.urlopen(url, timeout=10) as response:
             ctype = response.headers.get("Content-Type")
     assert ctype == "text/plain; version=0.0.4; charset=utf-8"
-
-
-def test_cache_stats_alias_matches_metrics(tmp_path):
-    with running_server(tmp_path) as (_server, client):
-        _run_one(client)
-        stats = client.cache_stats()
-        metrics = client.metrics()
-    # Pinned JSON shape of the deprecated alias.
-    assert set(stats) >= {"root", "version", "max_bytes", "hits", "misses",
-                          "entries", "bytes", "metrics"}
-    by_name = {name: value for name, labels, value in metrics}
-    assert by_name["campaign_cache_hits"] == float(stats["hits"])
-    assert by_name["campaign_cache_misses"] == float(stats["misses"])
 
 
 def test_obs_submission_merges_worker_series(tmp_path):

@@ -16,10 +16,11 @@ Three properties are load-bearing and verified here:
    interference environment changes mid-frame.
 """
 
+import copy
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.phy.constants import BIT_RATE_BPS
@@ -356,8 +357,70 @@ def test_incremental_accumulator_matches_brute_force(spec, data):
     assert rx.sensed_power_mw() == rx._noise_mw  # exact reset, no drift
 
 
+_LAZY_SUM_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("start"),
+            st.integers(min_value=-6, max_value=6),  # channel offset (MHz)
+            st.floats(min_value=-110.0, max_value=-20.0),  # RSS (dBm)
+        ),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("probe")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_LAZY_SUM_OPS)
+@example(
+    ops=[
+        ("start", 0, -50.0),
+        ("start", 3, -61.5),
+        ("start", -5, -44.2),
+        ("remove", 1),
+        ("probe",),  # straight after a removal
+        ("start", 2, -70.0),
+        ("remove", 0),
+        ("start", -1, -35.0),  # arrives while the sum is stale
+        ("probe",),
+        ("remove", 0),
+        ("remove", 0),
+        ("remove", 0),  # down to an empty list
+        ("probe",),
+        ("start", 4, -80.0),
+        ("probe",),
+    ]
+)
+def test_lazy_sense_sum_is_bit_exact(ops):
+    """Starts, removals and probes in any order: the sensed power a probe
+    reads equals the full mask re-evaluation, bit for bit.
+
+    Only ``probe`` steps read the radio itself, so removals leave its
+    cached sum stale and later starts meet that stale sum.  Every other
+    step reads a shallow copy, which refreshes the copy's cache and not
+    the radio's.
+    """
+    rx = _bare_radio()
+    live = []
+    for op in ops:
+        if op[0] == "start":
+            signal = _make_signal(rx, 2460.0 + op[1], op[2])
+            _start(rx, signal)
+            live.append(signal)
+        elif op[0] == "remove":
+            if not live:
+                continue
+            rx._remove_signal(live.pop(op[1] % len(live)))
+        else:
+            assert rx.sensed_power_mw() == rx.resample_sense_power_mw()
+        assert copy.copy(rx).sensed_power_mw() == rx.resample_sense_power_mw()
+        assert rx.in_channel_power_mw() == rx.resample_in_channel_power_mw()
+    assert rx.sensed_power_mw() == rx.resample_sense_power_mw()
+
+
 def test_removal_rebuild_is_bitwise_equal_to_brute_force():
-    """After any removal the running sum is *bitwise* the full re-sum
+    """After any removal the sensed power is *bitwise* the full re-sum
     (both walk the same list in the same order)."""
     rx = _bare_radio()
     signals = [
@@ -367,7 +430,7 @@ def test_removal_rebuild_is_bitwise_equal_to_brute_force():
         _start(rx, signal)
     for signal in signals[::2]:
         rx._remove_signal(signal)
-        assert rx._noise_mw + rx._sense_sum_mw == rx.resample_sense_power_mw()
+        assert rx.sensed_power_mw() == rx.resample_sense_power_mw()
 
 
 def test_gain_memo_caches_per_offset():
