@@ -263,28 +263,6 @@ class ResultCache:
             "by_exhibit": dict(sorted(by_exhibit.items())),
         }
 
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """Counters + directory summary as one JSON-ready dict."""
-        with self._lock:
-            counters = self.stats.to_dict()
-        snap = {
-            "root": str(self.root),
-            "version": self.version,
-            "max_bytes": self.max_bytes,
-        }
-        snap.update(counters)
-        total = 0
-        count = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            count += 1
-        snap["entries"] = count
-        snap["bytes"] = total
-        return snap
-
     # ------------------------------------------------------------------
     def _enforce_budget(self, protect: Optional[Path] = None) -> int:
         """Evict LRU entries until the directory fits ``max_bytes``.

@@ -9,9 +9,8 @@ benches, EXPERIMENTS.md generation and the command line can enumerate them:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from ..experiments.results import ResultTable
 from .figures import (
@@ -42,7 +41,7 @@ from .figures import (
     table1,
 )
 
-__all__ = ["Experiment", "get", "all_ids", "run_all", "REGISTRY"]
+__all__ = ["Experiment", "get", "all_ids", "REGISTRY"]
 
 Runner = Callable[..., ResultTable]
 
@@ -111,46 +110,3 @@ def get(experiment_id: str) -> Experiment:
 
 def all_ids() -> List[str]:
     return list(REGISTRY)
-
-
-def run_all(
-    seed: int = 1,
-    fast: bool = True,
-    ids: Optional[Sequence[str]] = None,
-    *,
-    jobs: Optional[int] = None,
-    use_cache: bool = False,
-) -> Dict[str, ResultTable]:
-    """Run registered experiments (all, or the ``ids`` subset) -> id: table.
-
-    .. deprecated:: 0.1
-        Calling ``run_all`` without ``jobs=`` keeps the historical
-        one-process sequential behaviour but now warns: batch execution
-        lives in :mod:`repro.campaign` (parallelism, per-job timeouts,
-        retries, result caching).  Pass ``jobs=N`` here to opt in, or use
-        :func:`repro.campaign.run_campaign` directly for multi-seed
-        sweeps and failure reporting.
-    """
-    from ..campaign import expand_jobs, run_campaign
-
-    if jobs is None:
-        warnings.warn(
-            "run_all() without jobs= is deprecated; pass jobs=N or use "
-            "repro.campaign.run_campaign for parallel, cached execution",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        jobs = 1
-
-    specs = expand_jobs(ids, [seed], fast, all_ids())
-    result = run_campaign(specs, jobs=jobs, cache=None if use_cache else False)
-    failures = result.failures()
-    if failures:
-        first = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} of {len(specs)} experiments failed; first: "
-            f"{first.spec} after {first.attempts} attempts:\n{first.error}"
-        )
-    return {
-        eid: result.outcome(eid, seed).table for eid in result.exhibit_ids()
-    }

@@ -140,10 +140,7 @@ def render_report(tables: Dict[str, ResultTable], elapsed_s: Dict[str, float],
         lines.append(f"## {experiment.paper_exhibit} — {experiment.description}")
         lines.append("")
         lines.append(f"*Experiment id*: `{eid}` — regenerate with "
-                     f"`pytest benchmarks/bench_{eid.split('_')[0] if eid.startswith('ablation') else eid}.py --benchmark-only`"
-                     if not eid.startswith("ablation")
-                     else f"*Experiment id*: `{eid}` — regenerate with "
-                          f"`pytest benchmarks/bench_ablations.py --benchmark-only`")
+                     f"`pytest benchmarks/bench_exhibits.py -k {eid} --benchmark-only`")
         lines.append("")
         lines.append(f"**Paper**: {PAPER_CLAIMS.get(eid, '(n/a)')}")
         lines.append("")

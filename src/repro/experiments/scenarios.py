@@ -26,7 +26,7 @@ from ..core.dcn import DcnCcaPolicy
 from ..core.adjustor import AdjustorConfig
 from ..mac.cca import CcaPolicy, DisabledCca, FixedCcaThreshold
 from ..mac.params import MacParams
-from ..net.deployment import Deployment, PolicyFactory
+from ..net.deployment import Deployment, PolicyFactory, zigbee_policy_factory
 from ..net.routing import RoutingConfig, RoutingFabric
 from ..net.topology import (
     LinkSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "STANDARD_LINK_DISTANCE_M",
     "dcn_policy_factory",
     "dcn_only_on",
-    "fixed_policy_factory",
     "five_network_plan",
     "evaluation_plan",
     "motivation_plan",
@@ -78,15 +77,6 @@ STANDARD_LINK_DISTANCE_M = 1.5
 # ---------------------------------------------------------------------------
 # Policy factories
 # ---------------------------------------------------------------------------
-def fixed_policy_factory(threshold_dbm: float = -77.0) -> PolicyFactory:
-    """Every node: fixed CCA threshold (the ZigBee design)."""
-
-    def _factory(_label: str, _node: str) -> CcaPolicy:
-        return FixedCcaThreshold(threshold_dbm)
-
-    return _factory
-
-
 def dcn_policy_factory(config: Optional[AdjustorConfig] = None) -> PolicyFactory:
     """Every node: DCN."""
 
@@ -464,7 +454,7 @@ def convergecast_testbed(
         specs,
         seed=seed,
         policy_factory=(
-            dcn_policy_factory() if use_dcn else fixed_policy_factory()
+            dcn_policy_factory() if use_dcn else zigbee_policy_factory()
         ),
         saturate_senders=False,
         **deployment_kwargs,

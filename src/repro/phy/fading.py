@@ -16,7 +16,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FadingModel", "NoFading", "LogNormalFading"]
+__all__ = ["FadingModel", "NoFading", "LogNormalFading", "LinkDraws"]
+
+
+class LinkDraws:
+    """One link's fading stream and its read-ahead draws.
+
+    ``rng`` is the link's own ``fading.{src}.{dst}`` generator; ``draws``
+    holds values already taken from it and ``index`` is the next one to
+    use.  Only :meth:`FadingModel.sample_db_many` reads or refills the
+    draws, so the read-ahead never interleaves with another consumer of
+    the stream.
+    """
+
+    __slots__ = ("rng", "draws", "index")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.draws: list = []
+        self.index = 0
 
 
 class FadingModel:
@@ -28,22 +46,22 @@ class FadingModel:
     def max_gain_db(self) -> float:
         """Largest dB offset :meth:`sample_db` can ever return.
 
-        Used by the medium's audible-set culling: a receiver whose mean RSS
+        Used by the medium's link-cache culling: a receiver whose mean RSS
         plus this headroom still misses the delivery floor can be skipped
         without changing any observable outcome.  Models with unbounded
         support must return ``inf`` (which disables culling entirely).
         """
         return float("inf")
 
-    def sample_db_many(self, rngs) -> list:
-        """One draw per generator in ``rngs`` (one per link stream).
+    def sample_db_many(self, links) -> list:
+        """One draw per :class:`LinkDraws` in ``links``.
 
-        Must be bit-identical to calling :meth:`sample_db` once per
-        generator in order — each per-link stream advances by exactly one
+        Must be bit-identical to calling :meth:`sample_db` on each link's
+        generator in order: each per-link stream advances by exactly one
         draw.  The default loops; overrides exist purely to shave Python
         dispatch off the medium's fanout hot path.
         """
-        return [self.sample_db(rng) for rng in rngs]
+        return [self.sample_db(link.rng) for link in links]
 
 
 class NoFading(FadingModel):
@@ -55,8 +73,8 @@ class NoFading(FadingModel):
     def max_gain_db(self) -> float:
         return 0.0
 
-    def sample_db_many(self, rngs) -> list:
-        return [0.0] * len(rngs)
+    def sample_db_many(self, links) -> list:
+        return [0.0] * len(links)
 
 
 class LogNormalFading(FadingModel):
@@ -73,17 +91,17 @@ class LogNormalFading(FadingModel):
         creating physically absurd link budgets.
     """
 
-    #: Largest buffer refill.  A scalar ``Generator.normal`` call costs
-    #: ~2 us of numpy dispatch; batching amortises that to ~0.3 us/draw,
-    #: which matters because fading is sampled once per (transmission,
-    #: audible receiver) pair.
+    #: Largest refill of a link's draws.  A scalar ``Generator`` call
+    #: costs ~2 us of numpy dispatch; batching amortises that to ~0.3
+    #: us/draw, which matters because fading is sampled once per
+    #: (transmission, audible receiver) pair.
     BUFFER_DRAWS = 128
 
-    #: First refill per stream.  Buffers grow geometrically (×4 per
-    #: refill, capped at :data:`BUFFER_DRAWS`): 50k-mote scenes hold 10^5+
-    #: link streams most of which are sampled a handful of times per run,
-    #: so filling 128 draws up front wastes most of the generator work at
-    #: start-up.  Growth is invisible to fixed-seed reproducibility:
+    #: First refill per link.  Refills grow geometrically (×4 each,
+    #: capped at :data:`BUFFER_DRAWS`): 50k-mote scenes hold 10^5+ links
+    #: most of which are sampled a handful of times per run, so filling
+    #: 128 draws up front wastes most of the generator work at start-up.
+    #: Growth is invisible to fixed-seed reproducibility:
     #: ``standard_normal(n)`` consumes the bit stream identically
     #: regardless of how the n draws are chunked (pinned by tests).
     BUFFER_DRAWS_INITIAL = 8
@@ -95,43 +113,12 @@ class LogNormalFading(FadingModel):
             raise ValueError(f"clip_db must be > 0, got {clip_db}")
         self.sigma_db = sigma_db
         self.clip_db = clip_db
-        #: Per-generator draw buffers: ``id(rng) -> [rng, draws, index,
-        #: capacity]``.  The generator reference is stored in the value so
-        #: the id can never be recycled while its buffer is alive.
-        self._buffers: dict = {}
-
-    def _refill(self, rng: np.random.Generator, entry) -> list:
-        """(Re)fill a stream's buffer, growing its capacity geometrically."""
-        if entry is None:
-            capacity = self.BUFFER_DRAWS_INITIAL
-            entry = [rng, None, 0, capacity]
-            self._buffers[id(rng)] = entry
-        else:
-            capacity = entry[3] * 4
-            if capacity > self.BUFFER_DRAWS:
-                capacity = self.BUFFER_DRAWS
-            entry[3] = capacity
-        draws = (rng.standard_normal(capacity) * self.sigma_db).tolist()
-        entry[1] = draws
-        entry[2] = 0
-        return entry
 
     def sample_db(self, rng: np.random.Generator) -> float:
+        """One unbuffered draw: the reference :meth:`sample_db_many` replays."""
         if self.sigma_db == 0.0:
             return 0.0
-        # Buffered scalar draws.  ``standard_normal(n) * sigma`` consumes
-        # the generator's bit stream exactly as n successive
-        # ``normal(0, sigma)`` calls would and produces bit-identical
-        # doubles, so buffering is invisible to fixed-seed reproducibility
-        # (asserted by tests/phy/test_perf_layer.py).  Each per-link stream
-        # is drawn from *only* through this model, so read-ahead cannot
-        # interleave with other consumers.
-        entry = self._buffers.get(id(rng))
-        if entry is None or entry[2] >= entry[3]:
-            entry = self._refill(rng, entry)
-        index = entry[2]
-        draw = entry[1][index]
-        entry[2] = index + 1
+        draw = rng.standard_normal() * self.sigma_db
         # Branchy clipping: ~10x cheaper than np.clip on a scalar.
         clip = self.clip_db
         if draw > clip:
@@ -143,26 +130,34 @@ class LogNormalFading(FadingModel):
     def max_gain_db(self) -> float:
         return self.clip_db if self.sigma_db > 0.0 else 0.0
 
-    def sample_db_many(self, rngs) -> list:
-        # Same buffers and draw order as sample_db, with the per-call
-        # attribute lookups hoisted out of the loop.  Each stream advances
-        # by exactly one draw, so the result is bit-identical to a loop of
-        # scalar sample_db calls (pinned by tests).
+    def sample_db_many(self, links) -> list:
+        # Read-ahead draws per link.  ``standard_normal(n) * sigma``
+        # consumes the generator's bit stream exactly as n successive
+        # scalar draws would and produces bit-identical doubles, so the
+        # result equals a loop of sample_db calls on each link's
+        # generator (pinned by tests).
         if self.sigma_db == 0.0:
-            return [0.0] * len(rngs)
-        buffers = self._buffers
-        refill = self._refill
+            return [0.0] * len(links)
+        sigma = self.sigma_db
+        initial = self.BUFFER_DRAWS_INITIAL
+        largest = self.BUFFER_DRAWS
         clip = self.clip_db
         neg_clip = -clip
         out = []
         append = out.append
-        for rng in rngs:
-            entry = buffers.get(id(rng))
-            if entry is None or entry[2] >= entry[3]:
-                entry = refill(rng, entry)
-            index = entry[2]
-            draw = entry[1][index]
-            entry[2] = index + 1
+        for link in links:
+            draws = link.draws
+            index = link.index
+            if index == len(draws):
+                capacity = 4 * index if index else initial
+                if capacity > largest:
+                    capacity = largest
+                draws = link.draws = (
+                    link.rng.standard_normal(capacity) * sigma
+                ).tolist()
+                index = 0
+            draw = draws[index]
+            link.index = index + 1
             if draw > clip:
                 draw = clip
             elif draw < neg_clip:

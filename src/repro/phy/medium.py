@@ -42,7 +42,7 @@ consecutively, so batching preserves the total order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -183,7 +183,6 @@ class Medium:
             from .vectorized import VectorizedLinkCache
 
             self._link_cache = VectorizedLinkCache(self)
-        self._link_streams: Dict[Tuple[int, int], "np.random.Generator"] = {}
 
     # ------------------------------------------------------------------
     def register(self, radio: "Radio") -> None:
@@ -195,8 +194,7 @@ class Medium:
         self._radios_snapshot = None
         if self._link_cache is not None:
             # The new radio may be audible to already-cached sources:
-            # fold it into each cached set in place (bit-identical to a
-            # full rebuild, see VectorizedLinkCache.register_radio).
+            # the cache drops its batches and rebuilds them on demand.
             self._link_cache.register_radio(radio)
 
     @property
@@ -212,51 +210,6 @@ class Medium:
         """Drop cached link budgets after a radio position change."""
         if self._link_cache is not None:
             self._link_cache.invalidate()
-
-    def link_fading_stream(
-        self, source: "Radio", receiver: "Radio"
-    ) -> "np.random.Generator":
-        """The per-link fading stream for ``source`` → ``receiver``.
-
-        Keyed on the radio names so a fixed seed reproduces the same draw
-        sequence regardless of registration order, culling, or how many
-        other links exist.
-        """
-        key = (id(source), id(receiver))
-        stream = self._link_streams.get(key)
-        if stream is None:
-            stream = self.rng.stream(f"fading.{source.name}.{receiver.name}")
-            self._link_streams[key] = stream
-        return stream
-
-    def link_fading_streams(
-        self, source: "Radio", receivers: Sequence["Radio"]
-    ) -> List["np.random.Generator"]:
-        """Per-link fading streams for ``source`` → each of ``receivers``.
-
-        Same streams (same cache, same ``fading.{src}.{dst}`` names) as
-        :meth:`link_fading_stream`, with the misses created through the
-        batched :meth:`~repro.sim.rng.RngStreams.stream_many` derivation
-        — one vectorized seed computation for the whole fanout instead of
-        ~20 µs of ``SeedSequence`` machinery per link.
-        """
-        link_streams = self._link_streams
-        source_id = id(source)
-        missing = [
-            receiver
-            for receiver in receivers
-            if (source_id, id(receiver)) not in link_streams
-        ]
-        if missing:
-            prefix = f"fading.{source.name}."
-            streams = self.rng.stream_many(
-                [prefix + receiver.name for receiver in missing]
-            )
-            for receiver, stream in zip(missing, streams):
-                link_streams[(source_id, id(receiver))] = stream
-        return [
-            link_streams[(source_id, id(receiver))] for receiver in receivers
-        ]
 
     # ------------------------------------------------------------------
     def begin_transmission(
@@ -308,7 +261,7 @@ class Medium:
             batch = cache.fanout_batch(source, tx_power_dbm, channel_mhz)
             radios = batch.radios
             if radios:
-                draws = self.fading.sample_db_many(batch.streams)
+                draws = self.fading.sample_db_many(batch.links)
                 rss_arr = batch.means + np.asarray(draws)
                 keep = rss_arr >= floor
                 if keep.all():
@@ -341,12 +294,14 @@ class Medium:
             # one scalar fading draw per link, every frame.
             path_loss = self.path_loss
             fading = self.fading
+            stream = self.rng.stream
+            prefix = f"fading.{source.name}."
             for radio in self._radios:
                 if radio is source:
                     continue
                 rss = path_loss.received_power_dbm(
                     tx_power_dbm, source.position, radio.position
-                ) + fading.sample_db(self.link_fading_stream(source, radio))
+                ) + fading.sample_db(stream(prefix + radio.name))
                 if rss < floor:
                     continue
                 signal = Signal(transmission, rss)

@@ -1,11 +1,11 @@
-"""The medium's link cache: struct-of-arrays audible sets and fan-out batches.
+"""The medium's link cache: struct-of-arrays fan-out batches.
 
 Node positions are static for the lifetime of a run, so the mean link budget
 between two radios never changes.  :class:`VectorizedLinkCache` exploits
 this twice:
 
 1. **mean-RSS memoisation** — the path-loss model is consulted once per
-   ``(source, receiver, tx power)`` triple instead of once per frame;
+   ``(source, receiver, tx power, channel)`` instead of once per frame;
 2. **audible-set culling** — receivers whose *best-case* RSS (mean plus the
    fading model's maximum possible gain, :meth:`FadingModel.max_gain_db`)
    cannot clear the medium's ``delivery_floor_dbm`` are dropped from the
@@ -18,13 +18,18 @@ skipping a link never shifts another link's draws.  The medium's brute-force
 reference path (``Medium(reference=True)``) therefore produces the same
 traces, which ``repro check diff`` gates.
 
-Audible sets build in one batch: :class:`RadioArrays` keeps a contiguous
-numpy mirror of the radio positions, and the mean link budget for the whole
-registry is evaluated in one call, then the survivors are confirmed through
-the scalar model (DESIGN.md §13).  For every ``(source, tx power, channel)``
-the cache also keeps a :class:`FanoutBatch` of per-receiver delivery
-columns, so ``Medium.begin_transmission`` draws all fading samples of a
-transmission at once and hands each receiver its precomputed gains.
+Every ``(source, tx power, channel)`` gets one :class:`FanoutBatch` of
+per-receiver delivery columns, built in one step on its first
+transmission: :class:`RadioArrays` keeps a contiguous numpy mirror of the
+radio positions, the mean link budget for the whole registry is evaluated
+in one call, the survivors are confirmed through the scalar model
+(DESIGN.md §13), and each survivor's gains, lock verdict and
+:class:`~repro.phy.fading.LinkDraws` are gathered.  ``Medium.
+begin_transmission`` then draws all fading samples of a transmission at
+once.  Each link's :class:`~repro.phy.fading.LinkDraws` has one owner, the
+cache's never-cleared link table, so a link shared by two batches (two tx
+powers or channels), or rebuilt after a registration or invalidation,
+continues its draw sequence where it left off.
 
 Exactness
 ---------
@@ -43,6 +48,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
+from .fading import LinkDraws
+
 if TYPE_CHECKING:  # pragma: no cover
     from .medium import Medium
     from .radio import Radio
@@ -51,7 +58,6 @@ __all__ = [
     "RadioArrays",
     "VectorizedLinkCache",
     "FanoutBatch",
-    "AudibleSet",
     "PRESELECT_GUARD_DB",
 ]
 
@@ -61,17 +67,16 @@ __all__ = [
 #: magnitude of margin while culling everything meaningfully inaudible.
 PRESELECT_GUARD_DB = 1e-6
 
-#: One audible set as parallel lists: (receivers in registration order,
-#: mean RSS at each receiver in dBm, per-link fading streams).
-AudibleSet = Tuple[List["Radio"], List[float], List[object]]
-
 
 class FanoutBatch:
     """Per-(source, tx power, channel) precomputed delivery columns.
 
     Everything the delivery loop in ``Medium.begin_transmission`` needs
-    per fan-out entry, gathered once and reused for every frame:
+    per fan-out entry, gathered once and reused for every frame, one
+    entry per audible receiver in registration order:
 
+    - ``links``: each receiver's :class:`~repro.phy.fading.LinkDraws`,
+      the same object in every batch of the same source;
     - ``means`` as a float64 array so the per-packet RSS (`mean + draw`)
       computes in one vector add (IEEE elementwise add — bit-identical to
       the scalar sums);
@@ -83,20 +88,20 @@ class FanoutBatch:
     """
 
     __slots__ = (
-        "radios", "streams", "means", "decode_gains", "sense_gains", "lockable",
+        "radios", "links", "means", "decode_gains", "sense_gains", "lockable",
     )
 
     def __init__(
         self,
         radios: List["Radio"],
-        streams: List[object],
+        links: List[LinkDraws],
         means: np.ndarray,
         decode_gains: List[float],
         sense_gains: List[float],
         lockable: List[bool],
     ) -> None:
         self.radios = radios
-        self.streams = streams
+        self.links = links
         self.means = means
         self.decode_gains = decode_gains
         self.sense_gains = sense_gains
@@ -149,82 +154,60 @@ class RadioArrays:
 
 
 class VectorizedLinkCache:
-    """Static link budgets, per-source audible sets and fan-out batches.
+    """Static link budgets and fan-out batches, one owner per link.
 
-    Built lazily: the audible set for a ``(source, tx_power)`` pair is
+    Built lazily: the batch for a ``(source, tx power, channel)`` is
     computed on its first transmission and reused for every subsequent
-    frame.  Registering a new radio updates every cached audible set
-    *incrementally* (:meth:`register_radio`); moving a radio requires an
-    explicit :meth:`invalidate` (positions are assumed static).
+    frame.  Registering a radio drops every batch (:meth:`register_radio`);
+    moving a radio requires an explicit :meth:`invalidate` (positions are
+    assumed static).  Neither touches the link table, which holds every
+    link's fading state for the cache's lifetime.
     """
 
-    __slots__ = ("_medium", "arrays", "_audible", "_sources", "_batches")
+    __slots__ = ("_medium", "arrays", "_batches", "_links")
 
     def __init__(self, medium: "Medium") -> None:
         self._medium = medium
         self.arrays = RadioArrays()
-        #: (id(source), tx power) -> audible set.
-        self._audible: Dict[Tuple[int, float], AudibleSet] = {}
-        #: id(source) -> source, so cached keys can be resolved back to
-        #: radios during incremental registration.  Holding the reference
-        #: also guarantees the id is never recycled while cached.
-        self._sources: Dict[int, "Radio"] = {}
         #: (id(source), tx power, channel) -> delivery columns.
         self._batches: Dict[Tuple[int, float, float], FanoutBatch] = {}
+        #: (id(source), id(receiver)) -> that link's fading draws.  Never
+        #: cleared; the registry holds every radio for the medium's
+        #: lifetime, so no id is recycled while its entry is alive.
+        self._links: Dict[Tuple[int, int], LinkDraws] = {}
 
     # -- registry maintenance ------------------------------------------
     def register_radio(self, radio: "Radio") -> None:
-        """Fold a newly registered radio into the cached audible sets.
+        """Mirror a newly registered radio and drop every batch.
 
-        A full rebuild walks the registry in registration order, so the
-        newcomer — last in that order — would land at the end of every
-        audible set it belongs to.  Appending it there (with the mean RSS
-        from the same scalar model call) is therefore bit-identical to
-        invalidating and rebuilding, at O(cached keys) cost instead of
-        O(cached keys x radios).  Batches are rebuilt lazily from the
-        updated sets, with no model calls.
+        A rebuild walks the registry in registration order, so the
+        newcomer lands at the end of every batch it belongs to, and the
+        links already in the batch keep their draws.
         """
         self.arrays.append(radio)
         self._batches.clear()
-        if not self._audible:
-            return
-        medium = self._medium
-        path_loss = medium.path_loss
-        floor = medium.delivery_floor_dbm
-        headroom = medium.fading.max_gain_db()
-        for (source_id, tx_power_dbm), (radios, means, streams) in (
-            self._audible.items()
-        ):
-            source = self._sources[source_id]
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            if mean_rss + headroom < floor:
-                continue
-            radios.append(radio)
-            means.append(mean_rss)
-            streams.append(medium.link_fading_stream(source, radio))
 
     def invalidate(self) -> None:
-        """Drop every cached audible set (e.g. after a position change)."""
-        self._audible.clear()
-        self._sources.clear()
+        """Drop every batch (e.g. after a position change)."""
         self._batches.clear()
         self.arrays.refresh()
 
-    # -- audible sets ---------------------------------------------------
-    def audible(self, source: "Radio", tx_power_dbm: float) -> AudibleSet:
-        """Receivers that can possibly hear ``source`` at ``tx_power_dbm``."""
-        key = (id(source), tx_power_dbm)
-        audible = self._audible.get(key)
-        if audible is None:
-            audible = self._audible[key] = self._build(source, tx_power_dbm)
-            self._sources[id(source)] = source
-        return audible
+    # -- fan-out hot path -----------------------------------------------
+    def fanout_batch(
+        self, source: "Radio", tx_power_dbm: float, channel_mhz: float
+    ) -> FanoutBatch:
+        """Delivery columns for one ``(source, tx power, channel)``."""
+        key = (id(source), tx_power_dbm, channel_mhz)
+        batch = self._batches.get(key)
+        if batch is None:
+            batch = self._batches[key] = self._build(
+                source, tx_power_dbm, channel_mhz
+            )
+        return batch
 
-    def _build(self, source: "Radio", tx_power_dbm: float) -> AudibleSet:
+    def _build(
+        self, source: "Radio", tx_power_dbm: float, channel_mhz: float
+    ) -> FanoutBatch:
         medium = self._medium
         path_loss = medium.path_loss
         floor = medium.delivery_floor_dbm
@@ -241,8 +224,15 @@ class VectorizedLinkCache:
                 approx >= (floor - headroom) - PRESELECT_GUARD_DB
             )[0].tolist()
         registry = arrays.radios
+        source_id = id(source)
+        all_links = self._links
         radios: List["Radio"] = []
         means: List[float] = []
+        links: List[LinkDraws] = []
+        decode_gains: List[float] = []
+        sense_gains: List[float] = []
+        lockable: List[bool] = []
+        missing: List[int] = []
         for i in candidates:
             radio = registry[i]
             if radio is source:
@@ -254,38 +244,33 @@ class VectorizedLinkCache:
             )
             if mean_rss + headroom < floor:
                 continue
+            link = all_links.get((source_id, id(radio)))
+            if link is None:
+                missing.append(len(radios))
             radios.append(radio)
             means.append(mean_rss)
-        # Batched stream creation: one vectorized seed derivation for all
-        # missing links instead of one SeedSequence each (the dominant
-        # first-transmission cost at 10^5-link scale).  stream_many is
-        # bit-identical to per-name stream() and shares its cache.
-        streams = medium.link_fading_streams(source, radios)
-        return radios, means, streams
-
-    # -- fan-out hot path -----------------------------------------------
-    def fanout_batch(
-        self, source: "Radio", tx_power_dbm: float, channel_mhz: float
-    ) -> FanoutBatch:
-        """Delivery columns for one ``(source, tx power, channel)``."""
-        key = (id(source), tx_power_dbm, channel_mhz)
-        batch = self._batches.get(key)
-        if batch is None:
-            radios, means, streams = self.audible(source, tx_power_dbm)
-            decode_gains: List[float] = []
-            sense_gains: List[float] = []
-            lockable: List[bool] = []
-            for radio in radios:
-                gains = radio._gains_for(channel_mhz)
-                decode_gains.append(gains[0])
-                sense_gains.append(gains[1])
-                lockable.append(radio._lockable(channel_mhz))
-            batch = self._batches[key] = FanoutBatch(
-                list(radios),
-                list(streams),
-                np.array(means, dtype=np.float64),
-                decode_gains,
-                sense_gains,
-                lockable,
+            links.append(link)
+            gains = radio._gains_for(channel_mhz)
+            decode_gains.append(gains[0])
+            sense_gains.append(gains[1])
+            lockable.append(radio._lockable(channel_mhz))
+        if missing:
+            # Batched stream creation: one vectorized seed derivation for
+            # all new links instead of one SeedSequence each (the dominant
+            # first-transmission cost at 10^5-link scale).  stream_many is
+            # bit-identical to per-name stream() and shares its cache.
+            prefix = f"fading.{source.name}."
+            streams = medium.rng.stream_many(
+                [prefix + radios[j].name for j in missing]
             )
-        return batch
+            for j, stream in zip(missing, streams):
+                link = links[j] = LinkDraws(stream)
+                all_links[(source_id, id(radios[j]))] = link
+        return FanoutBatch(
+            radios,
+            links,
+            np.array(means, dtype=np.float64),
+            decode_gains,
+            sense_gains,
+            lockable,
+        )

@@ -6,7 +6,7 @@ import repro.__main__ as cli
 from repro.campaign.cache import ResultCache
 from repro.campaign.jobs import JobSpec
 from repro.experiments import registry as registry_module
-from repro.experiments.registry import Experiment, run_all
+from repro.experiments.registry import Experiment
 from repro.experiments.results import ResultTable
 
 
@@ -29,47 +29,6 @@ def dummy_registry(monkeypatch):
     monkeypatch.setattr(registry_module, "REGISTRY", registry)
     monkeypatch.setattr(cli, "REGISTRY", registry)
     return registry
-
-
-# ------------------------------------------------------------------
-# registry.run_all through the campaign engine
-
-
-def test_run_all_warns_without_jobs(dummy_registry):
-    with pytest.warns(DeprecationWarning, match="repro.campaign"):
-        tables = run_all(seed=3, fast=True)
-    assert set(tables) == {"d1", "d2"}
-    assert tables["d1"].rows[0]["seed"] == 3
-
-
-def test_run_all_ids_filter_no_warning(dummy_registry):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # jobs= given: must not warn
-        tables = run_all(seed=2, ids=["d2"], jobs=1)
-    assert set(tables) == {"d2"}
-
-
-def test_run_all_unknown_id(dummy_registry):
-    with pytest.raises(KeyError, match="d999"):
-        run_all(ids=["d999"], jobs=1)
-
-
-def test_run_all_surfaces_failures(dummy_registry, monkeypatch):
-    dummy_registry["bad"] = Experiment("bad", "Fig. B", "bad", _failing_run)
-    with pytest.raises(RuntimeError, match="always fails"):
-        run_all(ids=["bad"], jobs=1)
-
-
-def test_run_all_uses_cache_when_asked(dummy_registry, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    run_all(seed=1, ids=["d1"], jobs=1, use_cache=True)
-    assert (tmp_path / ".repro-cache").is_dir()
-    # cached entry is served back (run function replaced by a bomb)
-    dummy_registry["d1"] = Experiment("d1", "Fig. D1", "dummy", _failing_run)
-    tables = run_all(seed=1, ids=["d1"], jobs=1, use_cache=True)
-    assert tables["d1"].rows[0]["seed"] == 1
 
 
 # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Three properties are load-bearing and verified here:
 
 1. **Culling exactness** — running the same scenario on the fast path
-   (:class:`~repro.phy.vectorized.VectorizedLinkCache` audible sets) and
+   (:class:`~repro.phy.vectorized.VectorizedLinkCache` fan-out batches) and
    on the brute-force reference path (``Medium(reference=True)``)
    produces identical observable outcomes, bit for bit.
 2. **Accumulator exactness** — the incremental power sums equal, bit for
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.phy.constants import BIT_RATE_BPS
-from repro.phy.fading import FadingModel, LogNormalFading, NoFading
+from repro.phy.fading import FadingModel, LinkDraws, LogNormalFading, NoFading
 from repro.phy.frame import Frame
 from repro.phy.medium import Medium, Signal, Transmission
 from repro.phy.propagation import FixedRssMatrix, LogDistancePathLoss
@@ -161,9 +161,9 @@ def test_audible_set_culls_unreachable_receivers():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     near = Radio(sim, medium, "near", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    radios, means, _ = medium._link_cache.audible(tx, 0.0)
-    assert radios == [near]
-    assert means[0] == pytest.approx(-50.0)
+    batch = medium._link_cache.fanout_batch(tx, 0.0, 2460.0)
+    assert batch.radios == [near]
+    assert batch.means[0] == pytest.approx(-50.0)
 
 
 def test_audible_set_respects_fading_headroom():
@@ -176,8 +176,7 @@ def test_audible_set_respects_fading_headroom():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     edge = Radio(sim, medium, "edge", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    radios, _, _ = medium._link_cache.audible(tx, 0.0)
-    assert radios == [edge]
+    assert medium._link_cache.fanout_batch(tx, 0.0, 2460.0).radios == [edge]
 
 
 def test_unbounded_fading_disables_culling():
@@ -190,28 +189,55 @@ def test_unbounded_fading_disables_culling():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     far = Radio(sim, medium, "far", (1, 0), 2460.0, 0.0)
     assert math.isinf(medium.fading.max_gain_db())
-    radios, _, _ = medium._link_cache.audible(tx, 0.0)
-    assert radios == [far]
+    assert medium._link_cache.fanout_batch(tx, 0.0, 2460.0).radios == [far]
 
 
-def test_audible_set_is_cached_and_register_updates_in_place():
-    sim, matrix, medium = _cache_rig()
-    matrix.set_loss((0, 0), (1, 0), 50.0)
+def _batch_columns(batch):
+    return (
+        batch.radios,
+        batch.means.tolist(),
+        batch.decode_gains,
+        batch.sense_gains,
+        batch.lockable,
+    )
+
+
+def test_late_registration_drops_batch_and_rebuild_matches_fresh_medium():
+    """Registering a radio drops the cached batch; the rebuilt batch
+    equals, bit for bit, the one a medium that saw every radio before
+    its first transmission builds."""
+
+    def rig():
+        sim, matrix, medium = _cache_rig(
+            fading=LogNormalFading(sigma_db=4.0, clip_db=12.0)
+        )
+        matrix.set_loss((0, 0), (1, 0), 50.0)
+        matrix.set_loss((0, 0), (2, 0), 121.5)  # borderline, kept
+        matrix.set_loss((0, 0), (3, 0), 300.0)  # culled
+        return sim, medium
+
+    sim, medium = rig()
+    cache = medium._link_cache
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    first = medium._link_cache.audible(tx, 0.0)
-    assert medium._link_cache.audible(tx, 0.0) is first  # memoised
-    matrix.set_loss((0, 0), (2, 0), 55.0)
-    late = Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
-    # Registration is a per-radio incremental update, not a full
-    # invalidation: the cached list object survives and the newcomer is
-    # appended at the end (where a rebuild would have placed it), with
-    # the exact scalar-model mean RSS.
-    updated = medium._link_cache.audible(tx, 0.0)
-    assert updated is first
-    radios, means, _ = updated
-    assert radios[-1] is late
-    assert means[-1] == -55.0
+    first = cache.fanout_batch(tx, 0.0, 2460.0)
+    assert cache.fanout_batch(tx, 0.0, 2460.0) is first  # memoised
+    Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
+    Radio(sim, medium, "far", (3, 0), 2460.0, 0.0)
+    rebuilt = cache.fanout_batch(tx, 0.0, 2460.0)
+    assert rebuilt is not first
+    assert rebuilt.links[0] is first.links[0]  # the link keeps its draws
+
+    fresh_sim, fresh_medium = rig()
+    fresh_tx = Radio(fresh_sim, fresh_medium, "tx", (0, 0), 2460.0, 0.0)
+    for name, x in (("rx1", 1), ("late", 2), ("far", 3)):
+        Radio(fresh_sim, fresh_medium, name, (x, 0), 2460.0, 0.0)
+    fresh = fresh_medium._link_cache.fanout_batch(fresh_tx, 0.0, 2460.0)
+    got = _batch_columns(rebuilt)
+    want = _batch_columns(fresh)
+    assert [radio.name for radio in got[0]] == ["rx1", "late"]
+    assert [radio.name for radio in want[0]] == ["rx1", "late"]
+    assert got[1:] == want[1:]
 
 
 def test_register_updates_match_full_rebuild_bitwise():
@@ -221,14 +247,16 @@ def test_register_updates_match_full_rebuild_bitwise():
     matrix.set_loss((0, 0), (3, 0), 300.0)  # inaudible: must not be added
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    medium._link_cache.audible(tx, 0.0)  # warm the cache
+    medium._link_cache.fanout_batch(tx, 0.0, 2460.0)  # warm the cache
     Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (3, 0), 2460.0, 0.0)
-    incremental = medium._link_cache.audible(tx, 0.0)
+    registered = medium._link_cache.fanout_batch(tx, 0.0, 2460.0)
     medium.invalidate_link_cache()
-    rebuilt = medium._link_cache.audible(tx, 0.0)
-    assert incremental is not rebuilt
-    assert incremental[:2] == rebuilt[:2]  # receivers and mean RSS
+    rebuilt = medium._link_cache.fanout_batch(tx, 0.0, 2460.0)
+    assert registered is not rebuilt
+    assert _batch_columns(registered) == _batch_columns(rebuilt)
+    # Invalidation drops batches, never a link's draws.
+    assert all(a is b for a, b in zip(registered.links, rebuilt.links))
 
 
 def test_late_registered_radio_hears_subsequent_transmissions():
@@ -269,25 +297,27 @@ def test_invalidate_link_cache_after_position_change():
     matrix.set_loss((0, 0), (5, 0), 50.0)
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     rx = Radio(sim, medium, "rx", (1, 0), 2460.0, 0.0)
-    assert medium._link_cache.audible(tx, 0.0)[0] == []
+    assert medium._link_cache.fanout_batch(tx, 0.0, 2460.0).radios == []
     rx.position = (5, 0)
     medium.invalidate_link_cache()
-    radios, _, _ = medium._link_cache.audible(tx, 0.0)
-    assert radios == [rx]
+    assert medium._link_cache.fanout_batch(tx, 0.0, 2460.0).radios == [rx]
 
 
 def test_buffered_fading_draws_match_scalar_normal_calls():
-    """LogNormalFading batches its generator reads; the batched sequence
-    must be bit-identical to per-call ``rng.normal(0, sigma)`` draws."""
+    """Both entry points replay per-call ``rng.normal(0, sigma)`` draws:
+    the unbuffered ``sample_db`` and the read-ahead ``sample_db_many``
+    over a :class:`LinkDraws`, across its 8/32/128-draw refills."""
     import numpy as np
 
     fading = LogNormalFading(sigma_db=4.0, clip_db=12.0)
     rng = np.random.default_rng(99)
+    link = LinkDraws(np.random.default_rng(99))
     reference = np.random.default_rng(99)
     for _ in range(3 * LogNormalFading.BUFFER_DRAWS + 7):  # cross refills
         expected = reference.normal(0.0, 4.0)
         expected = min(max(expected, -12.0), 12.0)
         assert fading.sample_db(rng) == expected
+        assert fading.sample_db_many([link]) == [expected]
 
 
 # ----------------------------------------------------------------------

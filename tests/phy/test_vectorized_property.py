@@ -1,6 +1,6 @@
 """Property tests for the vectorized (batched) phy kernels.
 
-Three layers of guarantees, in decreasing strictness:
+Four layers of guarantees, the first three in decreasing strictness:
 
 1. **Bit-identical batch kernels** — batched fading draws replay the
    exact same RNG stream, so they must equal the scalar draws with
@@ -13,6 +13,10 @@ Three layers of guarantees, in decreasing strictness:
    must produce exactly the same trace and deliver the same frames with
    the same float-exact outcomes as the reference path, including
    fan-outs that mix 802.15.4 and 802.11b receivers.
+4. **One owner per link** — a link's read-ahead fading draws carry over
+   between every batch that holds it, so random transmission sequences
+   with late registrations and cache invalidations keep the fast path's
+   RSS equal to the reference path's.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dot11.phy11b import Dot11Radio
-from repro.phy.fading import LogNormalFading, NoFading
+from repro.phy.fading import LinkDraws, LogNormalFading, NoFading
 from repro.phy.frame import Frame, reset_frame_ids
 from repro.phy.medium import Medium
 from repro.phy.propagation import (
@@ -90,22 +94,22 @@ def test_batched_fixed_matrix_is_bit_identical(rx, tx, power):
 )
 @settings(max_examples=40, deadline=None)
 def test_sample_db_many_is_bit_identical_to_scalar_loop(seed, n_streams, rounds):
-    """Two fresh models over identically seeded per-link streams: the
-    batched draw must replay the scalar per-stream sequence exactly."""
-    scalar_model = LogNormalFading(sigma_db=4.0, clip_db=12.0)
-    batch_model = LogNormalFading(sigma_db=4.0, clip_db=12.0)
+    """Identically seeded per-link streams: the batched draw over
+    :class:`LinkDraws` must replay the unbuffered scalar per-stream
+    sequence exactly."""
+    model = LogNormalFading(sigma_db=4.0, clip_db=12.0)
     names = [f"fading.tx.rx{i}" for i in range(n_streams)]
     scalar_streams = [RngStreams(seed).stream(name) for name in names]
-    batch_streams = [RngStreams(seed).stream(name) for name in names]
+    links = [LinkDraws(RngStreams(seed).stream(name)) for name in names]
     for _ in range(rounds):
-        scalar = [scalar_model.sample_db(rng) for rng in scalar_streams]
-        batched = batch_model.sample_db_many(batch_streams)
+        scalar = [model.sample_db(rng) for rng in scalar_streams]
+        batched = model.sample_db_many(links)
         assert batched == scalar
 
 
 def test_no_fading_sample_db_many_is_zeros():
-    streams = [RngStreams(0).stream(f"s{i}") for i in range(5)]
-    assert NoFading().sample_db_many(streams) == [0.0] * 5
+    links = [LinkDraws(RngStreams(0).stream(f"s{i}")) for i in range(5)]
+    assert NoFading().sample_db_many(links) == [0.0] * 5
 
 
 # ----------------------------------------------------------------------
@@ -266,20 +270,117 @@ def test_fanout_batch_carries_each_receivers_lock_rule():
 
 
 def test_fading_buffer_growth_is_bit_identical_across_paths():
-    """Adaptive buffer growth (8 -> 32 -> 128 draws) interleaving the
-    scalar and batched entry points must replay the exact stream."""
+    """Adaptive refill growth (8 -> 32 -> 128 draws), with one link drawn
+    several times per call, must replay the unbuffered scalar stream."""
     fading = LogNormalFading(sigma_db=4.0, clip_db=12.0)
-    rng = RngStreams(11).stream("fading.a.b")
+    link = LinkDraws(RngStreams(11).stream("fading.a.b"))
     reference = RngStreams(11).stream("fading.a.b")
     drawn = []
-    for round_index in range(40):
-        if round_index % 2:
-            drawn.extend(fading.sample_db_many([rng, rng, rng]))
-        else:
-            drawn.extend(fading.sample_db(rng) for _ in range(3))
-    # 120 draws cross both growth boundaries (8, then 32, then 128).
-    expected = []
-    while len(expected) < len(drawn):
-        value = reference.normal(0.0, 4.0)
-        expected.append(min(max(value, -12.0), 12.0))
+    for round_index in range(60):
+        drawn.extend(fading.sample_db_many([link] * (1 + round_index % 5)))
+    # 180 draws cross both growth boundaries (8, then 32, then 128).
+    expected = [fading.sample_db(reference) for _ in drawn]
+    assert len(drawn) > 8 + 32 + 128
     assert drawn == expected
+
+
+# ----------------------------------------------------------------------
+# 4. One owner per link: batches share a link's draws
+# ----------------------------------------------------------------------
+_SOURCES = ("s0", "s1")
+_LATE = ("late0", "late1", "late2")
+_RECEIVERS = ("r0", "r1", "r2") + _LATE
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("tx"),
+            st.sampled_from(_SOURCES),
+            st.sampled_from([0.0, -9.0]),  # tx power (dBm)
+            st.sampled_from([2405.0, 2410.0]),  # channel (MHz)
+        ),
+        st.tuples(st.just("register")),
+        st.tuples(st.just("invalidate")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _rss_run(losses, ops, seed, *, reference):
+    """Replays ``ops`` on one medium and returns every delivered RSS.
+
+    ``tx`` puts one frame on the air (sources transmit at two powers and
+    on two channels, so each source has up to four batches over the
+    same links), ``register`` adds the next late radio, ``invalidate``
+    drops the link cache.  The RSS of each delivered signal is read from
+    the receivers straight after the transmission starts.
+    """
+    sim = Simulator()
+    rng = RngStreams(seed)
+    matrix = FixedRssMatrix(default_loss_db=200.0)
+    names = _SOURCES + _RECEIVERS
+    positions = {name: (float(i), 0.0) for i, name in enumerate(names)}
+    for (tx, rx), loss in losses.items():
+        matrix.set_loss(positions[tx], positions[rx], loss)
+    medium = Medium(
+        sim,
+        matrix,
+        fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
+        rng=rng,
+        delivery_floor_dbm=-115.0,
+        reference=reference,
+    )
+    radios = {
+        name: Radio(sim, medium, name, positions[name], 2405.0, 0.0, rng=rng)
+        for name in names
+        if name not in _LATE
+    }
+    late = list(_LATE)
+    observed = []
+    for op in ops:
+        if op[0] == "tx":
+            _, name, power, channel = op
+            medium.begin_transmission(
+                radios[name], Frame(name, None, 20), channel, power,
+                lambda t: None,
+            )
+            observed.append(
+                sorted(
+                    (radio.name, signal.rx_power_dbm)
+                    for radio in medium.radios
+                    for signal in radio.active_signals
+                )
+            )
+            sim.run_until_idle()
+        elif op[0] == "register" and late:
+            name = late.pop(0)
+            radios[name] = Radio(
+                sim, medium, name, positions[name], 2405.0, 0.0, rng=rng
+            )
+        elif op[0] == "invalidate":
+            medium.invalidate_link_cache()
+    return observed
+
+
+@given(
+    losses=st.fixed_dictionaries(
+        {
+            (tx, rx): st.floats(min_value=40.0, max_value=140.0)
+            for tx in _SOURCES
+            for rx in _SOURCES + _RECEIVERS
+            if tx != rx
+        }
+    ),
+    ops=_OPS,
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_links_shared_across_batches_replay_reference_draws(losses, ops, seed):
+    """Each link's draws continue across every batch that holds it (two tx
+    powers, two channels, rebuilds after late registrations and
+    invalidations), so the fast path's RSS equals the reference path's,
+    which draws each link's stream one value at a time."""
+    fast = _rss_run(losses, ops, seed, reference=False)
+    reference = _rss_run(losses, ops, seed, reference=True)
+    assert fast == reference
