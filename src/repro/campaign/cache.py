@@ -75,16 +75,6 @@ class CacheStats:
     corrupt: int = 0
     bytes_evicted: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "bytes_evicted": self.bytes_evicted,
-        }
-
 
 class ResultCache:
     """Content-addressed store of job results under one directory.

@@ -6,7 +6,8 @@ brute-force reference.  This package is the
 correctness layer that continuously cross-checks them:
 
 - :mod:`repro.check.invariants` — opt-in runtime invariants
-  (``Simulator(checks=...)`` / ``REPRO_CHECKS=1``): event-time
+  (``Simulator(checks=InvariantChecker())``, or a ``CheckSession``
+  with a checker, as ``check diff`` arms on both legs): event-time
   monotonicity, non-negative power accumulators with periodic
   brute-force resampling, per-frame bit conservation and CCA-threshold
   sanity.  Violations raise :class:`InvariantViolation` with a
@@ -20,20 +21,21 @@ correctness layer that continuously cross-checks them:
   (``python -m repro check determinism <exhibit>``): same seed twice,
   and ``--jobs 1`` vs ``--jobs N`` through the campaign engine, must
   produce byte-identical ``ResultTable`` JSON.
+- :mod:`repro.check.runtime` — :class:`CheckSession`, the ambient
+  :class:`~repro.sim.session.Session` every simulator built inside it
+  joins (enabled trace, armed checker, reference-path flag);
 - :mod:`repro.check.faults` — test-only fault injection used to prove
   the invariant layer actually catches corruption.
 
-Import note: the kernel constructors (``Simulator``, ``Medium``)
-consult :mod:`repro.check.runtime` on construction, so this package
-``__init__`` must stay import-light.  The heavyweight modules (oracle,
-determinism — which pull in the experiment registry) are exposed
-lazily via module ``__getattr__``.
+Import note: this package ``__init__`` stays import-light.  The
+heavyweight modules (oracle, determinism — which pull in the experiment
+registry) are exposed lazily via module ``__getattr__``.
 """
 
 from __future__ import annotations
 
 from .invariants import CheckConfig, InvariantChecker, InvariantViolation
-from .runtime import CheckSession, active_session
+from .runtime import CheckSession
 
 __all__ = [
     "CheckConfig",
@@ -42,7 +44,6 @@ __all__ = [
     "DeterminismReport",
     "InvariantChecker",
     "InvariantViolation",
-    "active_session",
     "check_determinism",
     "diff_exhibit",
 ]

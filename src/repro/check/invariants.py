@@ -1,9 +1,9 @@
 """Runtime invariants: conservation laws the kernel must never break.
 
-Armed either explicitly (``Simulator(checks=InvariantChecker())`` /
-``Simulator(checks=True)``) or ambiently (``REPRO_CHECKS=1`` in the
-environment, or via an active :class:`~repro.check.runtime.CheckSession`
-with a checker).  Hook points live in the model layers:
+Armed either explicitly (``Simulator(checks=InvariantChecker())``) or
+ambiently, by an active :class:`~repro.check.runtime.CheckSession` with a
+checker (``repro check diff`` arms one on both legs).  Hook points live in
+the model layers:
 
 ===========================  =============================================
 hook                         invariant
@@ -16,10 +16,10 @@ hook                         invariant
 ``on_accumulator_update``    the radio's incremental sensing-path power
                              sum is never negative, and every
                              ``resample_every`` updates it is resampled
-                             against the brute-force mask re-evaluation
-                             (relative drift ≤ ``drift_rtol``); the
-                             decode-path sum is cross-checked at the same
-                             cadence.
+                             against the brute-force mask re-evaluation,
+                             bit for bit (the accumulators are exact by
+                             design); the decode-path sum is
+                             cross-checked at the same cadence.
 ``on_frame_complete``        per-transmission bit conservation: a
                              completed frame samples exactly
                              ``round(airtime · bit_rate)`` bits, and
@@ -39,7 +39,6 @@ loudly rather than record a wrong number.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -47,23 +46,14 @@ __all__ = [
     "CheckConfig",
     "InvariantChecker",
     "InvariantViolation",
-    "checks_enabled_by_env",
 ]
 
-#: Environment variable that arms the default checker on every
-#: newly-constructed :class:`~repro.sim.simulator.Simulator`.
-ENV_FLAG = "REPRO_CHECKS"
+#: Slack (dB) for the threshold-vs-strongest-RSSI comparison.
+THRESHOLD_SLACK_DB = 1e-9
 
 
 class InvariantViolation(RuntimeError):
     """A runtime invariant failed; the message is the divergence report."""
-
-
-def checks_enabled_by_env() -> bool:
-    """``True`` when ``REPRO_CHECKS`` is set to a truthy value."""
-    return os.environ.get(ENV_FLAG, "").strip().lower() not in (
-        "", "0", "false", "no", "off",
-    )
 
 
 @dataclass(frozen=True)
@@ -74,19 +64,12 @@ class CheckConfig:
     #: per radio (1 = every update; raise to amortise the O(n·mask)
     #: resample on big rigs).
     resample_every: int = 32
-    #: Allowed relative drift between the incremental accumulator and
-    #: its brute-force resample.
-    drift_rtol: float = 1e-9
     #: Event-queue live-count audit cadence, in dispatched events.
     queue_audit_every: int = 4096
-    #: Slack (dB) for the threshold-vs-strongest-RSSI comparison.
-    threshold_slack_db: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.resample_every < 1:
             raise ValueError("resample_every must be >= 1")
-        if self.drift_rtol <= 0:
-            raise ValueError("drift_rtol must be > 0")
         if self.queue_audit_every < 1:
             raise ValueError("queue_audit_every must be >= 1")
 
@@ -182,15 +165,13 @@ class InvariantChecker:
     def _compare(
         self, radio: Any, label: str, incremental: float, reference: float
     ) -> None:
-        scale = max(abs(reference), abs(incremental), 1e-300)
-        drift = abs(incremental - reference) / scale
-        if drift > self.config.drift_rtol:
+        if incremental != reference:
             raise InvariantViolation(
                 f"{label} accumulator drift on radio {radio.name!r} at "
                 f"t={radio.sim.now:.9f} s: incremental "
                 f"{incremental!r} mW vs brute-force resample "
-                f"{reference!r} mW (relative drift {drift:.3e} > "
-                f"{self.config.drift_rtol:.1e}; "
+                f"{reference!r} mW (difference "
+                f"{incremental - reference:.3e} mW; "
                 f"{len(radio.active_signals)} active signals) — first "
                 f"divergence after "
                 f"{self.counters['accumulator_updates']} accumulator "
@@ -239,7 +220,7 @@ class InvariantChecker:
         best = self._max_rssi.get(id(adjustor))
         if best is not None:
             ceiling = best - adjustor.config.margin_db
-            if value_dbm > ceiling + self.config.threshold_slack_db:
+            if value_dbm > ceiling + THRESHOLD_SLACK_DB:
                 raise InvariantViolation(
                     f"CCA threshold sanity violated at "
                     f"t={adjustor.sim.now:.9f} s: derived threshold "

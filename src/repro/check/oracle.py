@@ -122,9 +122,7 @@ def run_traced(
     from ..phy.frame import reset_frame_ids
 
     experiment = get(exhibit_id)
-    session = CheckSession(
-        reference=reference, capture_traces=True, checker=checker
-    )
+    session = CheckSession(reference=reference, checker=checker)
     # Frame ids come from a process-global counter and exist only to
     # correlate trace records; restart it so both oracle legs allocate
     # identical ids and records can be compared verbatim.

@@ -1,37 +1,29 @@
-"""Ambient check-session plumbing (import-light, no repro imports).
+"""The check session: what the differential oracle arms on every world.
 
-The differential oracle needs to re-run an *unmodified* exhibit under
-instrumentation: traces captured, the medium forced onto its brute-force
-reference path, runtime invariants armed.  Exhibit ``run()`` callables
-build their simulated worlds internally — through
-:class:`~repro.net.deployment.Deployment` or directly, like the 802.11b
-two-link rig — so the instrumentation cannot be threaded through arguments
-without touching every figure module.  Instead a :class:`CheckSession` is
-installed as an ambient context, and the two kernel constructors consult
-:func:`active_session`:
+A :class:`CheckSession` is an ambient :class:`~repro.sim.session.Session`:
+every :class:`~repro.sim.simulator.Simulator` built while it is active
+joins it, however the exhibit builds its world.  The simulator
 
-- :class:`~repro.sim.simulator.Simulator` attaches an enabled
-  :class:`~repro.sim.trace.Trace` (when the caller did not supply one),
-  registers it on the session and arms the session's
-  :class:`~repro.check.invariants.InvariantChecker`;
-- :class:`~repro.phy.medium.Medium` takes the session's ``reference``
-  flag, so a reference session runs every world on the reference path.
-
-Sessions do not nest and are process-local (the campaign executor's
-worker processes never inherit one), so a plain module global is
-sufficient — no thread-local machinery.
+- gets an enabled :class:`~repro.sim.trace.Trace` (when the caller
+  supplied none), which the session collects on :attr:`~CheckSession.
+  traces`;
+- arms the session's :class:`~repro.check.invariants.InvariantChecker`
+  (when the caller armed none);
+- carries the session's ``reference`` flag, which the
+  :class:`~repro.phy.medium.Medium` built on it follows.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
-__all__ = ["CheckSession", "active_session"]
+from ..sim.session import Session
+from ..sim.trace import Trace
 
-_ACTIVE: Optional["CheckSession"] = None
+__all__ = ["CheckSession"]
 
 
-class CheckSession:
+class CheckSession(Session):
     """One instrumented run: trace capture + path selection + checks.
 
     Parameters
@@ -41,46 +33,22 @@ class CheckSession:
         reference path (``Medium(reference=True)``: brute-force fan-out
         plus per-probe mask re-evaluation in the radio power sums)
         instead of the fast path.
-    capture_traces:
-        Attach an enabled trace to every simulator built inside the
-        session and collect them (in construction order) on
-        :attr:`traces`.
     checker:
         Optional :class:`~repro.check.invariants.InvariantChecker`
         armed on every simulator built inside the session.
     """
 
-    def __init__(
-        self,
-        reference: bool = False,
-        capture_traces: bool = True,
-        checker: Any = None,
-    ) -> None:
+    def __init__(self, reference: bool = False, checker: Any = None) -> None:
         self.reference = bool(reference)
-        self.capture_traces = bool(capture_traces)
         self.checker = checker
         #: Traces of the simulators created inside the session, in
         #: construction order (one exhibit may build several rigs).
-        self.traces: List[Any] = []
+        self.traces: List[Trace] = []
 
-    # ------------------------------------------------------------------
-    def attach_trace(self, trace: Any) -> None:
-        """Record one simulator's trace (called by ``Simulator``)."""
-        self.traces.append(trace)
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "CheckSession":
-        global _ACTIVE
-        if _ACTIVE is not None:
-            raise RuntimeError("check sessions do not nest")
-        _ACTIVE = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _ACTIVE
-        _ACTIVE = None
-
-
-def active_session() -> Optional[CheckSession]:
-    """The currently installed session, or ``None``."""
-    return _ACTIVE
+    def join(self, sim: Any) -> None:
+        if sim.trace is None:
+            sim.trace = Trace(enabled=True)
+        self.traces.append(sim.trace)
+        if sim.checks is None:
+            sim.checks = self.checker
+        sim.reference = self.reference

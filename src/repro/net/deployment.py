@@ -83,20 +83,12 @@ class Deployment:
     saturate_senders:
         When True (default) every link sender gets a
         :class:`~repro.net.traffic.SaturatedSource` started at t = 0.
-    obs:
-        Optional :class:`~repro.obs.recorder.Observability` telemetry
-        recorder handed to the simulator.  ``None`` (the default) means
-        "no telemetry, unless an active :class:`~repro.obs.runtime.
-        ObsSession` supplies a recorder".
-
-    Check-session integration
-    -------------------------
-    Exhibits construct their deployments internally, so the differential
-    oracle (``python -m repro check diff``) cannot thread configuration
-    through arguments.  The :class:`~repro.sim.simulator.Simulator` and the
-    :class:`~repro.phy.medium.Medium` a deployment builds consult the
-    active :class:`repro.check.runtime.CheckSession` themselves (trace
-    capture, checker, reference path), as they do in any other world.
+    trace / obs:
+        Optional :class:`~repro.sim.trace.Trace` and
+        :class:`~repro.obs.recorder.Observability` recorder, handed to the
+        simulator.  Left ``None``, they come from the active ambient
+        session, if any: the :class:`~repro.sim.simulator.Simulator` joins
+        it (check or obs), as it does in any other world.
     """
 
     def __init__(
@@ -114,13 +106,8 @@ class Deployment:
         trace: Optional[Trace] = None,
         obs=None,
     ) -> None:
-        from ..obs.runtime import active_obs_session
         from ..phy.medium import Medium  # local import to avoid cycles
 
-        if obs is None:
-            obs_session = active_obs_session()
-            if obs_session is not None:
-                obs = obs_session.make_observability()
         self.sim = Simulator(trace=trace, obs=obs)
         self.rng = RngStreams(seed)
         self.path_loss = path_loss if path_loss is not None else LogDistancePathLoss()

@@ -11,7 +11,8 @@ about *outcomes*, this package reports about *behaviour over time*:
 - :mod:`repro.obs.sinks` — bounded memory buffer and streaming JSONL
   writer under a versioned schema, plus the run manifest;
 - :mod:`repro.obs.runtime` — the ambient :class:`ObsSession` that lets
-  ``repro obs ...`` instrument unmodified exhibits;
+  ``repro obs ...`` instrument unmodified exhibits: every simulator
+  built inside it gets a recorder, with or without a ``Deployment``;
 - :mod:`repro.obs.timeline` — Chrome ``trace_event`` export (Perfetto);
 - :mod:`repro.obs.summary` — per-node/per-channel metric tables;
 - :mod:`repro.obs.exposition` — Prometheus text-format rendering of a
@@ -48,7 +49,7 @@ from .exposition import (
     validate_prometheus,
 )
 from .recorder import Observability
-from .runtime import ObsSession, active_obs_session
+from .runtime import ObsSession
 from .sinks import (
     SCHEMA_VERSION,
     JsonlSink,
@@ -75,7 +76,6 @@ __all__ = [
     "SpanLog",
     "Observability",
     "ObsSession",
-    "active_obs_session",
     "SCHEMA_VERSION",
     "Sink",
     "MemorySink",

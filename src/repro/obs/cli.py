@@ -13,7 +13,7 @@
 
 ``summary``/``timeline``/``export`` re-run the named exhibit under an
 ambient :class:`~repro.obs.runtime.ObsSession` (exhibits construct their
-deployments internally, so this is the only hook point that needs no
+simulators internally, so this is the only hook point that needs no
 figure-module changes).  ``tail`` is offline: it inspects a JSONL file a
 previous ``export`` produced — including one still being written.
 ``summary`` of a ``.jsonl`` path is likewise offline: it rolls up the
@@ -83,7 +83,7 @@ def cmd_summary(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     if not session.recorders:
-        print(f"{args.experiment} built no deployments; nothing to summarise",
+        print(f"{args.experiment} built no simulators; nothing to summarise",
               file=sys.stderr)
         return 1
     for table in summary_tables(session.recorders, exhibit=args.experiment):
@@ -127,7 +127,7 @@ def cmd_timeline(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     if not session.recorders:
-        print(f"{args.experiment} built no deployments; nothing to export",
+        print(f"{args.experiment} built no simulators; nothing to export",
               file=sys.stderr)
         return 1
     manifest = run_manifest(exhibit=args.experiment, seed=args.seed,

@@ -1,31 +1,25 @@
-"""Ambient observability sessions.
+"""The obs session: one telemetry recorder per simulator.
 
-Exhibit ``run()`` callables build their
-:class:`~repro.net.deployment.Deployment` objects internally, so — exactly
-as with :class:`~repro.check.runtime.CheckSession` — telemetry cannot be
-threaded through arguments without editing every figure module.  An
-:class:`ObsSession` is installed as an ambient context instead;
-``Deployment.__init__`` consults :func:`active_obs_session` and, when one
-is active and no explicit ``obs=`` recorder was passed, asks the session
-for a fresh :class:`~repro.obs.recorder.Observability` (one per
-deployment — a single exhibit may build several rigs, e.g. one per CFD
-point).
-
-Sessions do not nest and are process-local (campaign worker processes
-install their own), so a module global suffices.
+An :class:`ObsSession` is an ambient :class:`~repro.sim.session.Session`:
+every :class:`~repro.sim.simulator.Simulator` built while it is active
+— by a :class:`~repro.net.deployment.Deployment` or directly, like the
+802.11b two-link rig — gets a fresh :class:`~repro.obs.recorder.
+Observability` from the session when the caller passed no ``obs=``
+recorder (one exhibit may build several rigs, e.g. one per CFD point).
+Leaving the session finalizes the recorders; :meth:`ObsSession.snapshot`
+aggregates them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..sim.session import Session
 from .metrics import metric_key as _metric_key
 from .recorder import Observability
 from .sinks import SCHEMA_VERSION, Sink
 
-__all__ = ["ObsSession", "active_obs_session"]
-
-_ACTIVE: Optional["ObsSession"] = None
+__all__ = ["ObsSession"]
 
 
 def _quantile(ordered: List[float], q: float) -> float:
@@ -33,8 +27,8 @@ def _quantile(ordered: List[float], q: float) -> float:
     return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
-class ObsSession:
-    """One observed run: a recorder per deployment plus aggregation.
+class ObsSession(Session):
+    """One observed run: a recorder per simulator plus aggregation.
 
     Parameters
     ----------
@@ -44,40 +38,37 @@ class ObsSession:
     sink:
         Optional shared :class:`~repro.obs.sinks.Sink`; recorders stream
         into it with distinct ``run`` ids, in construction order.
-    max_spans / max_points / max_hist_samples:
-        Per-recorder store bounds (see :class:`Observability`).
     """
 
     def __init__(
         self,
         sample_interval_s: Optional[float] = 0.01,
         sink: Optional[Sink] = None,
-        max_spans: int = 200_000,
-        max_points: int = 65_536,
-        max_hist_samples: int = 100_000,
     ) -> None:
         self.sample_interval_s = sample_interval_s
         self.sink = sink
-        self.max_spans = max_spans
-        self.max_points = max_points
-        self.max_hist_samples = max_hist_samples
-        #: Recorders of the deployments created inside the session, in
+        #: Recorders of the simulators created inside the session, in
         #: construction order.
         self.recorders: List[Observability] = []
 
     # ------------------------------------------------------------------
     def make_observability(self) -> Observability:
-        """Build and register the recorder for one deployment."""
+        """Build and register the recorder for one simulator."""
         recorder = Observability(
             sample_interval_s=self.sample_interval_s,
-            max_spans=self.max_spans,
-            max_points=self.max_points,
-            max_hist_samples=self.max_hist_samples,
             sink=self.sink,
             run_id=len(self.recorders),
         )
         self.recorders.append(recorder)
         return recorder
+
+    def join(self, sim: Any) -> None:
+        if sim.obs is None:
+            sim.obs = self.make_observability()
+
+    def close(self) -> None:
+        for recorder in self.recorders:
+            recorder.finalize()
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -136,22 +127,3 @@ class ObsSession:
             "counters": counters,
             "histograms": histograms,
         }
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ObsSession":
-        global _ACTIVE
-        if _ACTIVE is not None:
-            raise RuntimeError("obs sessions do not nest")
-        _ACTIVE = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _ACTIVE
-        _ACTIVE = None
-        for recorder in self.recorders:
-            recorder.finalize()
-
-
-def active_obs_session() -> Optional[ObsSession]:
-    """The currently installed session, or ``None``."""
-    return _ACTIVE

@@ -1,7 +1,7 @@
 """Human-readable metric summaries: per-node and per-channel tables.
 
 The ``repro obs summary`` CLI renders one node table and one channel
-table per recorder (one recorder per deployment the exhibit built) using
+table per recorder (one recorder per simulator the exhibit built) using
 the same :class:`~repro.experiments.results.ResultTable` shape as the
 paper exhibits, so output stays diff-friendly and plotting-free.
 """

@@ -21,16 +21,20 @@ One fast path, one reference path (DESIGN.md §9)
   <repro.phy.radio.Radio.start_signal>`;
 - the **reference path** (``Medium(reference=True)``) scans every radio
   through the scalar path-loss model with one scalar fading draw per link
-  and delivers through :meth:`Radio.on_signal_start
+  that the cull below keeps, delivers through :meth:`Radio.on_signal_start
   <repro.phy.radio.Radio.on_signal_start>`, and its radios re-derive every
   power probe from the spectral masks.
 
 Both paths end in the same ``Radio.start_signal``, so the power sum that
-CCA senses is written in one place.  Culling is exact — a culled receiver
-could not clear the floor under any fading draw, and fading draws come from
-**per-link RNG streams** (named ``fading.{src}.{dst}``), so skipping a link
-never shifts another's draws — and the two paths produce identical traces,
-which ``repro check diff`` gates.
+CCA senses is written in one place.  Both apply the same exact cull before
+drawing: a receiver whose mean RSS plus the fading model's largest gain
+(:meth:`FadingModel.max_gain_db`) misses the floor could not clear it under
+any draw, so neither path draws for it.  Fading draws come from **per-link
+RNG streams** (named ``fading.{src}.{dst}``), so skipping a link never
+shifts another's draws, and a link culled at one tx power but audible at
+another advances its stream by the same frames on both paths.  The two
+paths therefore produce identical traces, which ``repro check diff``
+gates.
 
 Event ordering: at identical timestamps, signal *ends* fire before signal
 *starts* (priority 0 vs 1) so that back-to-back transmissions do not appear
@@ -148,10 +152,11 @@ class Medium:
         Run the reference path: every transmission scans all radios through
         the scalar path-loss model, and every radio answers its power
         probes by full per-call mask re-evaluation.  ``None`` (the
-        default) follows the active
-        :class:`~repro.check.runtime.CheckSession`, if any, else the fast
-        path.  The differential oracle (``python -m repro check diff``)
-        runs exhibits on both paths and requires identical traces.
+        default) follows ``sim.reference``, which a reference
+        :class:`~repro.check.runtime.CheckSession` sets on every simulator
+        built inside it.  The differential oracle (``python -m repro
+        check diff``) runs exhibits on both paths and requires identical
+        traces.
     """
 
     def __init__(
@@ -169,10 +174,7 @@ class Medium:
         self.rng = rng if rng is not None else RngStreams(0)
         self.delivery_floor_dbm = delivery_floor_dbm
         if reference is None:
-            from ..check.runtime import active_session
-
-            session = active_session()
-            reference = session is not None and session.reference
+            reference = sim.reference
         self.reference = bool(reference)
         self._radios: List["Radio"] = []
         self._radio_ids: set = set()
@@ -291,17 +293,21 @@ class Medium:
                     append((radio, signal))
         else:
             # Reference path: every radio, the scalar path-loss model and
-            # one scalar fading draw per link, every frame.
+            # one scalar fading draw per link that the exact cull keeps.
             path_loss = self.path_loss
             fading = self.fading
+            headroom = fading.max_gain_db()
             stream = self.rng.stream
             prefix = f"fading.{source.name}."
             for radio in self._radios:
                 if radio is source:
                     continue
-                rss = path_loss.received_power_dbm(
+                mean_rss = path_loss.received_power_dbm(
                     tx_power_dbm, source.position, radio.position
-                ) + fading.sample_db(stream(prefix + radio.name))
+                )
+                if mean_rss + headroom < floor:
+                    continue
+                rss = mean_rss + fading.sample_db(stream(prefix + radio.name))
                 if rss < floor:
                     continue
                 signal = Signal(transmission, rss)

@@ -15,8 +15,10 @@ this twice:
 Culling is exact: a culled receiver could not have been delivered a signal
 under *any* fading draw, and fading draws come from per-link streams, so
 skipping a link never shifts another link's draws.  The medium's brute-force
-reference path (``Medium(reference=True)``) therefore produces the same
-traces, which ``repro check diff`` gates.
+reference path (``Medium(reference=True)``) applies the same cull per frame
+before it draws, so a link culled in one batch but audible in another
+advances its stream identically on both paths, and the two produce the
+same traces, which ``repro check diff`` gates.
 
 Every ``(source, tx power, channel)`` gets one :class:`FanoutBatch` of
 per-receiver delivery columns, built in one step on its first

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .events import Event, EventQueue
+from .session import active_session
 from .trace import Trace
 
 __all__ = ["Simulator", "SimulationError"]
@@ -16,28 +17,6 @@ __all__ = ["Simulator", "SimulationError"]
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling in the past)."""
-
-
-def _resolve_checks(checks: Any) -> Any:
-    """Normalise the ``checks`` constructor argument to a checker or None.
-
-    The import of :mod:`repro.check.invariants` is deferred to the
-    moment checks are actually requested so the kernel module stays
-    dependency-free on the default path.
-    """
-    if checks is None:
-        from ..check.invariants import checks_enabled_by_env
-
-        if not checks_enabled_by_env():
-            return None
-        checks = True
-    if checks is False:
-        return None
-    if checks is True:
-        from ..check.invariants import InvariantChecker
-
-        return InvariantChecker()
-    return checks
 
 
 class Simulator:
@@ -49,39 +28,34 @@ class Simulator:
         Optional :class:`~repro.sim.trace.Trace` recording structured events.
         When omitted a disabled trace is created so call sites never branch.
     checks:
-        Runtime-invariant hooks (see :mod:`repro.check.invariants`).
-        ``None`` (the default) consults the ``REPRO_CHECKS`` environment
-        variable; ``True`` arms a fresh default
-        :class:`~repro.check.invariants.InvariantChecker`; ``False``
-        disables checks regardless of the environment; any other object
-        is used as the checker directly.  Model layers reach the active
-        checker through the public :attr:`checks` attribute (``None``
-        when disabled), so the disabled cost is one attribute load and
-        an ``is None`` test per hook site.
+        Optional :class:`~repro.check.invariants.InvariantChecker`.
+        Model layers reach it through the public :attr:`checks` attribute
+        (``None`` when disabled), so the disabled cost is one attribute
+        load and an ``is None`` test per hook site.
     obs:
         Optional :class:`~repro.obs.recorder.Observability` telemetry
         recorder.  Model layers reach it through the public :attr:`obs`
         attribute under the same ``is None`` discipline as ``checks``;
-        passing a recorder binds it to this simulator (scheduling its
-        periodic gauge sampler, when one is configured).
+        the recorder is bound to this simulator (scheduling its periodic
+        gauge sampler, when one is configured).
 
-    Check-session integration
-    -------------------------
-    A simulator built while a :class:`~repro.check.runtime.CheckSession`
-    is active joins it: it gets an enabled trace (when the caller supplied
-    none and the session captures traces), registers that trace with the
-    session, and arms the session's checker when ``checks`` is ``None``.
-    Every simulated world therefore honours the session, however the
-    exhibit builds it.  The medium picks up the session's reference flag
-    the same way (:class:`~repro.phy.medium.Medium`).
+    Ambient sessions
+    ----------------
+    The constructor is the one reader of the ambient
+    :class:`~repro.sim.session.Session`: a simulator built inside one
+    joins it (:meth:`~repro.sim.session.Session.join`) before filling in
+    its defaults.  A :class:`~repro.check.runtime.CheckSession` supplies
+    an enabled trace, its checker and the :attr:`reference` flag the
+    :class:`~repro.phy.medium.Medium` follows; an
+    :class:`~repro.obs.runtime.ObsSession` supplies a recorder.  Every
+    simulated world therefore honours the session, however the exhibit
+    builds it; arguments the caller gave win.
     """
 
     def __init__(
         self, trace: Optional[Trace] = None, checks: Any = None,
         obs: Any = None,
     ) -> None:
-        from ..check.runtime import active_session
-
         #: Current simulation time in seconds.  A plain attribute rather
         #: than a property: it is read on every event dispatch and inside
         #: every PHY/MAC hot path, where descriptor overhead is measurable.
@@ -89,23 +63,21 @@ class Simulator:
         self.now = 0.0
         self._queue = EventQueue()
         self._running = False
+        self.trace = trace
+        self.checks = checks
+        self.obs = obs
+        #: Whether media built on this simulator default to the
+        #: reference path (set by a reference ``CheckSession``).
+        self.reference = False
         session = active_session()
         if session is not None:
-            if session.capture_traces:
-                if trace is None:
-                    trace = Trace(enabled=True)
-                session.attach_trace(trace)
-            if checks is None:
-                checks = session.checker
-        if trace is None:
-            trace = Trace(enabled=False)
+            session.join(self)
+        if self.trace is None:
+            self.trace = Trace(enabled=False)
         else:
-            trace.bind_clock(lambda: self.now)
-        self.trace = trace
-        self.checks = _resolve_checks(checks)
-        self.obs = obs
-        if obs is not None:
-            obs.bind(self)
+            self.trace.bind_clock(lambda: self.now)
+        if self.obs is not None:
+            self.obs.bind(self)
 
     # ------------------------------------------------------------------
     # Clock and scheduling

@@ -9,6 +9,7 @@ write discipline is what makes that true.
 
 import json
 import multiprocessing
+from dataclasses import asdict
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.jobs import JobSpec
@@ -39,7 +40,7 @@ def hammer(args):
             if len(rows) != 20 or len({r["worker"] for r in rows}) != 1:
                 torn += 1
     return {"worker": worker, "torn": torn,
-            "stats": cache.stats.to_dict()}
+            "stats": asdict(cache.stats)}
 
 
 def eviction_hammer(args):
@@ -49,7 +50,7 @@ def eviction_hammer(args):
         spec = JobSpec.make("fig04", seed=(worker * rounds + i) % 16)
         cache.put(spec, make_table(worker), elapsed_s=1.0)
         cache.get(spec)
-    return cache.stats.to_dict()
+    return asdict(cache.stats)
 
 
 def test_parallel_put_get_never_sees_torn_entries(tmp_path):

@@ -12,8 +12,8 @@ import pytest
 
 from repro.campaign.client import ServerError
 from repro.obs.exposition import parse_prometheus, validate_prometheus
-from repro.obs.runtime import active_obs_session
 from repro.obs.sinks import read_jsonl
+from repro.sim.session import active_session
 from tests.campaign.test_server import fake_runner, running_server
 
 
@@ -21,7 +21,7 @@ def obs_probe_runner(spec):
     """Like ``fake_runner``, but records worker-side metrics into the
     ambient obs session (when one is installed) so the server has
     something to merge."""
-    session = active_obs_session()
+    session = active_session()
     if session is not None:
         obs = session.make_observability()
         obs.registry.counter("tx.frames", channel=2412.0).inc(5)

@@ -20,7 +20,6 @@ from repro.check.invariants import (
     CheckConfig,
     InvariantChecker,
     InvariantViolation,
-    checks_enabled_by_env,
 )
 from repro.phy.fading import NoFading
 from repro.phy.frame import Frame
@@ -33,47 +32,20 @@ from repro.sim.simulator import Simulator
 
 
 # ----------------------------------------------------------------------
-# Config / env-flag plumbing.
+# Config and the simulator argument.
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         CheckConfig(resample_every=0)
     with pytest.raises(ValueError):
-        CheckConfig(drift_rtol=0.0)
-    with pytest.raises(ValueError):
         CheckConfig(queue_audit_every=0)
 
 
-@pytest.mark.parametrize("value,expected", [
-    ("1", True), ("true", True), ("yes", True), ("on", True), ("2", True),
-    ("", False), ("0", False), ("false", False), ("no", False),
-    ("off", False), ("  ", False), ("FALSE", False),
-])
-def test_env_flag_parsing(monkeypatch, value, expected):
-    monkeypatch.setenv("REPRO_CHECKS", value)
-    assert checks_enabled_by_env() is expected
-
-
-def test_env_flag_unset_means_disabled(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKS", raising=False)
-    assert not checks_enabled_by_env()
-
-
-def test_simulator_checks_argument(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKS", raising=False)
+def test_simulator_checks_argument():
     assert Simulator().checks is None
-    assert Simulator(checks=False).checks is None
-    assert isinstance(Simulator(checks=True).checks, InvariantChecker)
     checker = InvariantChecker()
     assert Simulator(checks=checker).checks is checker
-
-
-def test_env_flag_arms_default_checker(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKS", "1")
-    assert isinstance(Simulator().checks, InvariantChecker)
-    # An explicit False still wins over the environment.
-    assert Simulator(checks=False).checks is None
 
 
 # ----------------------------------------------------------------------

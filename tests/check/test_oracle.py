@@ -110,7 +110,7 @@ def test_diff_fig02_compares_directly_built_dot11_worlds(monkeypatch):
     """fig02 builds its two-link rigs without a Deployment; both legs
     must still capture traces, and the reference leg must really run the
     reference path (Dot11Radio delivery is compared, not skipped)."""
-    from repro.check.runtime import active_session
+    from repro.sim.session import active_session
     from repro.phy.medium import Medium
 
     legs = []

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.check.invariants import InvariantChecker
-from repro.check.runtime import CheckSession, active_session
+from repro.check.runtime import CheckSession
 from repro.net.deployment import Deployment
 from repro.net.topology import fixed_power, one_region_topology
+from repro.obs.runtime import ObsSession
 from repro.phy.medium import Medium
 from repro.phy.propagation import FixedRssMatrix
 from repro.phy.spectrum import EVALUATION_BAND, ChannelPlan
 from repro.sim.rng import RngStreams
+from repro.sim.session import active_session
 from repro.sim.simulator import Simulator
+from repro.sim.trace import Trace
 
 
 def make_specs(seed=1, cfd=5.0):
@@ -34,6 +37,17 @@ def test_sessions_do_not_nest():
     with CheckSession():
         with pytest.raises(RuntimeError, match="nest"):
             CheckSession().__enter__()
+    assert active_session() is None
+
+
+@pytest.mark.parametrize("outer,inner", [
+    (CheckSession, ObsSession), (ObsSession, CheckSession),
+])
+def test_kinds_do_not_nest_in_each_other(outer, inner):
+    with outer() as session:
+        with pytest.raises(RuntimeError, match="nest"):
+            inner().__enter__()
+        assert active_session() is session
     assert active_session() is None
 
 
@@ -101,8 +115,12 @@ def test_directly_built_world_joins_session():
     assert medium.reference is True
 
 
-def test_capture_traces_false_leaves_trace_alone():
-    with CheckSession(capture_traces=False) as session:
-        deployment = Deployment(make_specs(), seed=1)
-    assert session.traces == []
-    assert deployment.sim.trace.enabled is False
+def test_explicit_trace_and_checker_win_but_trace_is_collected():
+    trace = Trace(enabled=True)
+    own = InvariantChecker()
+    with CheckSession(reference=True, checker=InvariantChecker()) as session:
+        sim = Simulator(trace=trace, checks=own)
+    assert session.traces == [trace]
+    assert sim.trace is trace
+    assert sim.checks is own
+    assert sim.reference is True

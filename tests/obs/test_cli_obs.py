@@ -55,7 +55,7 @@ def test_obs_summary_unknown_exhibit(tiny_registry, capsys):
 def test_obs_summary_no_deployments(tiny_registry, capsys):
     rc = cli.main(["obs", "summary", "empty"])
     assert rc == 1
-    assert "no deployments" in capsys.readouterr().err
+    assert "built no simulators" in capsys.readouterr().err
 
 
 def test_obs_timeline_writes_valid_trace(tiny_registry, tmp_path, capsys):

@@ -1,29 +1,31 @@
-"""Tests for ambient ObsSession: deployment pick-up, snapshots,
+"""Tests for ambient ObsSession: simulator pick-up, snapshots,
 and the byte-identical-results guarantee."""
 
 import pytest
 
-from repro.obs.runtime import ObsSession, active_obs_session
+from repro.obs.runtime import ObsSession
 from repro.obs.recorder import Observability
+from repro.sim.session import active_session
+from repro.sim.simulator import Simulator
 
 from .rig import build_rig, run_rig
 
 
 def test_sessions_do_not_nest_and_clear_on_exit():
-    assert active_obs_session() is None
+    assert active_session() is None
     with ObsSession(sample_interval_s=None) as session:
-        assert active_obs_session() is session
+        assert active_session() is session
         with pytest.raises(RuntimeError, match="do not nest"):
             ObsSession(sample_interval_s=None).__enter__()
-        assert active_obs_session() is session  # failed enter left it intact
-    assert active_obs_session() is None
+        assert active_session() is session  # failed enter left it intact
+    assert active_session() is None
 
 
 def test_session_clears_even_on_exception():
     with pytest.raises(RuntimeError, match="boom"):
         with ObsSession(sample_interval_s=None):
             raise RuntimeError("boom")
-    assert active_obs_session() is None
+    assert active_session() is None
 
 
 def test_deployment_picks_up_ambient_session():
@@ -36,6 +38,16 @@ def test_deployment_picks_up_ambient_session():
     assert [r.run_id for r in session.recorders] == [0, 1]
     # exit finalised every recorder
     assert all(r.end_time is not None for r in session.recorders)
+
+
+def test_directly_built_simulator_picks_up_ambient_session():
+    """Worlds built without a Deployment (e.g. the 802.11b two-link rig)
+    are observed too."""
+    with ObsSession(sample_interval_s=None) as session:
+        sim = Simulator()
+    assert session.recorders == [sim.obs]
+    assert sim.obs.sim is sim
+    assert sim.obs.end_time is not None  # exit finalised it
 
 
 def test_explicit_obs_argument_wins_over_session():

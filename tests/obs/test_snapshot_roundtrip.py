@@ -21,7 +21,7 @@ from repro.obs.exposition import (
     validate_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry, metric_key, registry_snapshot
-from repro.obs.runtime import active_obs_session
+from repro.sim.session import active_session
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +30,7 @@ from repro.obs.runtime import active_obs_session
 
 def probe_runner(spec):
     """Record awkward metric shapes into the ambient obs session."""
-    session = active_obs_session()
+    session = active_session()
     assert session is not None, "obs=True must install a session"
     obs = session.make_observability()
     # Non-string label values: frequencies and node objects are common.

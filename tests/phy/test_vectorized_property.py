@@ -20,7 +20,7 @@ Four layers of guarantees, the first three in decreasing strictness:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dot11.phy11b import Dot11Radio
@@ -375,12 +375,26 @@ def _rss_run(losses, ops, seed, *, reference):
     ops=_OPS,
     seed=st.integers(min_value=0, max_value=10_000),
 )
+@example(
+    # s1 -> r1 is culled at -9 dBm (-128 dBm mean + 12 dB clip < -115 dBm
+    # floor) but audible at 0 dBm: neither path may draw for it while
+    # culled, or its stream runs ahead on one of them.
+    losses={
+        (tx, rx): 119.0 if (tx, rx) == ("s1", "r1") else 40.0
+        for tx in _SOURCES
+        for rx in _SOURCES + _RECEIVERS
+        if tx != rx
+    },
+    ops=[("tx", "s1", -9.0, 2405.0), ("tx", "s1", 0.0, 2405.0)],
+    seed=913,
+)
 @settings(max_examples=60, deadline=None)
 def test_links_shared_across_batches_replay_reference_draws(losses, ops, seed):
     """Each link's draws continue across every batch that holds it (two tx
     powers, two channels, rebuilds after late registrations and
     invalidations), so the fast path's RSS equals the reference path's,
-    which draws each link's stream one value at a time."""
+    which draws each link's stream one value at a time — for every frame
+    on which the link is not culled, on both paths."""
     fast = _rss_run(losses, ops, seed, reference=False)
     reference = _rss_run(losses, ops, seed, reference=True)
     assert fast == reference
